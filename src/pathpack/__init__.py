@@ -18,7 +18,8 @@ from .frame import (Certificate, Frame, HitSet, HittingCertificate,
                     extend_or_hit, frame_to_packing, solve, validate_frame)
 from .generate import A_POLICIES, FAMILIES, make_instance
 from .graph import (Graph, UNREACHABLE, ball, components, dist, distance_map,
-                    has_radius_at_most, is_path, radius_center, st_path)
+                    has_radius_at_most, is_path, least_far_pair,
+                    radius_center, st_path)
 from .model import (FatModel, Part, PatternGraph, fat_to_clean, fatness,
                     is_clean, is_simple, part_vertices, validate_model)
 from .oracle import (brute_force_packing_exists, far_pair, hitting_violations,
@@ -76,6 +77,7 @@ __all__ = [
     "is_clean",
     "is_path",
     "is_simple",
+    "least_far_pair",
     "make_instance",
     "make_topological",
     "packing_violations",

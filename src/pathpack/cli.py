@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (solve: packing found), 10 solve found a hitting
 set, 1 verification or precondition failure, 2 malformed input, 3
-parameters out of the supported numeric range.
+parameters out of the supported numeric range, 4 an internal invariant
+failed (a bug in pathpack, never a user error).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import sys
 from typing import Optional
 
 from . import fileio
-from .errors import InputError, ParameterRangeError, PreconditionError
+from .errors import (InputError, InternalInvariantError, ParameterRangeError,
+                     PreconditionError)
 from .frame import HittingCertificate, PackingCertificate, SolveParams, solve
 from .generate import A_POLICIES, FAMILIES, make_instance
 from .model import fatness, fat_to_clean
@@ -25,6 +27,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RANGE = 3
+EXIT_INTERNAL = 4
 EXIT_HITTING = 10
 
 
@@ -185,6 +188,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except InternalInvariantError as exc:
+        print(f"internal error (a bug in pathpack): {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_INPUT

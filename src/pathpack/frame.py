@@ -18,9 +18,9 @@ from .errors import (InputError, InternalInvariantError, ParameterRangeError,
                      PreconditionError)
 from .forest import check_branch_bound, degree_classes, extract_z_paths
 from .graph import (Graph, UNREACHABLE, ball, components, dist, distance_map,
-                    has_radius_at_most, radius_center, st_path)
+                    has_radius_at_most, least_far_pair, radius_center, st_path)
 from .model import FatModel, PatternGraph, fat_to_clean, fatness, part_vertices, validate_model
-from .oracle import far_pair, hitting_violations, packing_violations
+from .oracle import hitting_violations, packing_violations
 
 MAX_RADIUS = 2 ** 62
 
@@ -194,7 +194,7 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, HitSet]:
     pair = None
     comp_of_pair = None
     for comp, averts in cands:
-        found = far_pair(g, averts, ell)
+        found = least_far_pair(g, averts, ell)
         if found is not None:
             pair, comp_of_pair = found, comp
             break
@@ -227,7 +227,9 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, HitSet]:
             if de is not UNREACHABLE:
                 target = e
                 break
-        assert target is not None
+        if target is None:
+            raise InternalInvariantError(
+                "path vertex near the branch paths is near none of them")
         grown = augment(g, clean, a1, target, trimmed, ell)
         new_frame = Frame(model=grown.model, i=fr.i + 1, ell=ell, r=fr.r,
                           coarse=fr.coarse, a_set=fr.a_set)
@@ -252,7 +254,9 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, HitSet]:
         else:
             # close pair: store its connecting geodesic as a finished path
             link = st_path(g, {a1}, {a2})
-            assert link is not None and len(link) - 1 < ell
+            if link is None or len(link) - 1 >= ell:
+                raise InternalInvariantError(
+                    f"close terminal pair has no geodesic shorter than {ell}")
             pattern2 = clean.pattern.copy()
             h = pattern2.add_isolated()
             sets2 = dict(clean.branch_sets)

@@ -223,6 +223,69 @@ def distance_map(g: Graph, src: Iterable[int], *,
     return dmap
 
 
+# Full searches run by _sweeps beyond the one it is given.
+_SWEEPS = 4
+
+
+def _sweeps(g: Graph, first: dict[int, int]) -> list[dict[int, int]]:
+    """Distance maps from the vertex farthest from first's source, the one
+    farthest from both, the one farthest from that, and finally from the
+    vertex whose largest distance to all four sources is least: a central
+    vertex, whose eccentricity is about half the diameter.  Ties go to the
+    lowest id."""
+    maps = [first]
+    for pick in (lambda v: maps[0][v],
+                 lambda v: min(maps[0][v], maps[1][v]),
+                 lambda v: maps[2][v]):
+        maps.append(distance_map(g, {max(first, key=lambda v: (pick(v), -v))}))
+    center = min(first, key=lambda v: (max(m[v] for m in maps), v))
+    maps.append(distance_map(g, {center}))
+    return maps[1:]
+
+
+def least_far_pair(g: Graph, averts: Iterable[int],
+                   threshold: int) -> Optional[tuple[int, int]]:
+    """Lexicographically least pair of the given vertices at distance at
+    least threshold, or None.
+
+    Same answer as the verifiers' plain oracle.far_pair, with fewer
+    searches.  When the search from the least vertex cannot decide, a few
+    full sweeps bound every vertex's eccentricity within the set:
+    ecc(v) <= d(s, v) + ecc(s) for every swept source s (Takes and Kosters,
+    CIKM 2011).  Only vertices whose bound reaches threshold get a search
+    of their own.  Raises PreconditionError when some vertex is unreachable
+    from the least one.
+    """
+    averts = sorted(set(averts))
+    if not averts:
+        return None
+    dm = distance_map(g, {averts[0]})
+    if any(b not in dm for b in averts):
+        raise PreconditionError("far-pair vertices lie in different components")
+    rest = averts[1:]
+    far = next((b for b in rest if dm[b] >= threshold), None)
+    if far is not None:
+        return averts[0], far
+    # all pairs sit within twice the worst distance from the least vertex
+    worst = max(dm[b] for b in averts)
+    if 2 * worst < threshold:
+        return None
+    bound = [dm[v] + worst for v in rest]
+    # with at most four vertices left the sweeps cannot save what they cost
+    if len(rest) > _SWEEPS:
+        for sweep in _sweeps(g, dm):
+            ecc = max(sweep[b] for b in averts)
+            bound = [min(ub, sweep[v] + ecc) for ub, v in zip(bound, rest)]
+    for v, ub in zip(rest, bound):
+        if ub < threshold:
+            continue
+        near = distance_map(g, {v}, cutoff=threshold - 1)
+        far = next((b for b in averts if b not in near), None)
+        if far is not None:
+            return v, far
+    return None
+
+
 def is_path(g: Graph, seq: tuple[int, ...]) -> bool:
     """True iff seq is a path in g: distinct vertices, consecutive adjacent."""
     if len(seq) == 0:

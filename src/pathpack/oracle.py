@@ -1,8 +1,11 @@
 """Independent certificate checkers and a small brute-force cross-check.
 
-Nothing here shares logic with the solver: verification uses only plain
-breadth-first searches over the host graph, so a bug in the construction
-cannot hide behind the same bug in the check.
+Nothing here shares logic with the solver, and the construction calls
+nothing here; only solve(validate=True) hands its final certificate to the
+verifiers.  Verification uses only plain breadth-first searches over the
+host graph, so a bug in the construction cannot hide behind the same bug in
+the check.  far_pair is also the reference that the solver's
+graph.least_far_pair is tested against.
 """
 
 from __future__ import annotations
@@ -16,16 +19,20 @@ from .graph import Graph, UNREACHABLE, ball, components, dist, distance_map, is_
 def far_pair(g: Graph, averts: Sequence[int],
              threshold: int) -> Optional[tuple[int, int]]:
     """Lexicographically least pair of the given vertices at distance at
-    least threshold, or None.  The vertices must lie in one component."""
+    least threshold, or None.  The vertices must lie in one component;
+    raises PreconditionError when one is unreachable from the least."""
     averts = sorted(averts)
     for idx, src in enumerate(averts):
         if idx == 0:
             dm = distance_map(g, {src})
-            far = [b for b in averts if b != src and dm.get(b, 0) >= threshold]
+            if any(b not in dm for b in averts):
+                raise PreconditionError(
+                    "far_pair vertices lie in different components")
+            far = [b for b in averts if b != src and dm[b] >= threshold]
             if far:
                 return src, min(far)
             # all pairs sit within twice the worst distance from src
-            worst = max((dm.get(b, 0) for b in averts), default=0)
+            worst = max(dm[b] for b in averts)
             if 2 * worst < threshold:
                 return None
         else:

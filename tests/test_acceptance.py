@@ -87,6 +87,30 @@ def test_criterion_1():
         assert run_matrix(MATRIX_NS) == 180
 
 
+def grid_instances():
+    """The grid family, which the criterion 1 matrix leaves out: the
+    100x100 grid with every vertex a terminal, and 66x66 grids with random
+    terminals plus the four corners.  The 66x66 diameter lies in
+    [128*d, 256*d) and the corners put a terminal at least 128*d from the
+    least one, so the first far-pair search cannot decide."""
+    g, a = make_instance("grid", 100 * 100, a_policy="all")
+    yield g, a
+    for seed in (1, 2, 3):
+        g, a = make_instance("grid", 66 * 66, seed=seed, a_policy="random_p")
+        yield g, a | {0, 65, 66 * 65, 66 * 66 - 1}
+
+
+def test_grid_family_within_bound():
+    for g, a in grid_instances():
+        for coarse in (False, True):
+            params = SolveParams(2, 1, coarse=coarse)
+            t0 = time.monotonic()
+            cert = solve(g, a, params)
+            assert time.monotonic() - t0 < 10.0
+            assert isinstance(cert, HittingCertificate)
+            assert_certificate(g, a, params, cert)
+
+
 def run_seeded(seed: int, validate: bool = False):
     rng = random.Random(seed)
     n = rng.randint(2, 12) if seed < 150 else rng.randint(2, 200)

@@ -1,10 +1,15 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+import pathpack.cli
 from helpers import k2_path_model, path_graph
-from pathpack import fileio, make_instance
+from pathpack import InternalInvariantError, fileio, make_instance
 from pathpack.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_instance(tmp_path, g, a):
@@ -74,6 +79,18 @@ class TestSolve:
                    "-k", "1", "-d", "1"])
         assert rc == 2
 
+    def test_internal_error_exit_four(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InternalInvariantError("branch-set centers collide")
+
+        monkeypatch.setattr(pathpack.cli, "solve", broken)
+        gp, ap = spider_files(tmp_path)
+        rc = main(["solve", "--graph", gp, "--a-set", ap, "-k", "2", "-d", "1"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "internal error" in err
+        assert "branch-set centers collide" in err
+
     def test_terminal_outside_graph(self, tmp_path):
         gp, _ = write_instance(tmp_path, path_graph(10), frozenset({0}))
         ap = tmp_path / "far.aset"
@@ -127,6 +144,23 @@ class TestVerify:
         cert = tmp_path / "cert.json"
         cert.write_text("{}")
         assert main(["verify", str(cert), "--graph", gp, "--a-set", ap]) == 2
+
+
+def readme_quickstart() -> list[list[str]]:
+    """The shell lines of the README's command-line block, comments dropped."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.strip()]
+
+
+def test_readme_quickstart_runs_verbatim(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_quickstart()
+    assert [argv[:2] for argv in lines] == [
+        ["pathpack", "gen"], ["pathpack", "solve"], ["pathpack", "verify"]]
+    assert [main(argv[1:]) for argv in lines] == [0, 10, 0]
 
 
 class TestGen:

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathpack.graph as graph_module
 from helpers import bfs_dists, cycle_graph, grid_graph, path_graph
-from pathpack import UNREACHABLE, Graph, InputError, make_instance
+from pathpack import (UNREACHABLE, Graph, InputError, PreconditionError,
+                      make_instance)
 from pathpack.graph import (
     ball,
     components,
@@ -11,9 +15,11 @@ from pathpack.graph import (
     distance_map,
     has_radius_at_most,
     is_path,
+    least_far_pair,
     radius_center,
     st_path,
 )
+from pathpack.oracle import far_pair
 
 
 def random_graph(seed: int, n: int = 40) -> Graph:
@@ -190,6 +196,69 @@ class TestDistanceMap:
         g = path_graph(5)
         m = distance_map(g, {0, 4}, cutoff=1)
         assert m == {0: 0, 1: 1, 3: 1, 4: 0}
+
+
+class TestLeastFarPair:
+    def test_pruned_grid_search(self, monkeypatch):
+        # without corner 0 the only pair at the diameter 78 is the other
+        # two corners; oracle.far_pair searches from each of 1..39, the
+        # sweeps leave only vertices near corners to search
+        g = grid_graph(40)
+        a = range(1, 1600)
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(1)
+            return distance_map(*args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "distance_map", counted)
+        assert least_far_pair(g, a, 78) == (39, 1560)
+        assert len(searches) < 10
+        searches.clear()
+        assert least_far_pair(g, a, 100) is None
+        assert len(searches) == 5
+
+    def test_unreachable_vertex_raises(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(PreconditionError):
+            least_far_pair(g, [0, 2, 3], 1)
+
+    def test_duplicates_and_tiny_sets(self):
+        g = path_graph(5)
+        assert least_far_pair(g, [3, 3, 4], 1) == (3, 4)
+        for threshold in range(6):
+            assert least_far_pair(g, [2], threshold) is None
+            assert least_far_pair(g, [], threshold) is None
+
+
+def connected_graph(kind: str, n: int, seed: int) -> Graph:
+    """A connected host of about n vertices; "random" is a random tree
+    plus n/2 random chords."""
+    if kind == "path":
+        return path_graph(n)
+    if kind == "cycle":
+        return cycle_graph(max(n, 3))
+    if kind == "grid":
+        return grid_graph(max(1, round(n ** 0.5)))
+    rng = random.Random(seed)
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 2)]
+    return Graph(n, [(u, v) for u, v in edges if u != v])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["path", "cycle", "grid", "random"]),
+       st.integers(1, 64), st.integers(0, 10_000),
+       st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_least_far_pair_matches_oracle(kind, n, seed, density):
+    """Every threshold from 0 to past the diameter, so both sides of the
+    window [diameter/2, diameter] where the per-vertex searches run."""
+    g = connected_graph(kind, n, seed)
+    rng = random.Random(seed)
+    a = [v for v in range(g.n) if rng.random() < density]
+    diameter = max(max(bfs_dists(g, v).values()) for v in range(g.n))
+    for threshold in range(diameter + 3):
+        assert least_far_pair(g, a, threshold) == far_pair(g, a, threshold)
 
 
 @settings(max_examples=60, deadline=None)

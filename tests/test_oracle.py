@@ -42,6 +42,12 @@ class TestFarPair:
         g = path_graph(5)
         assert far_pair(g, [3, 4], 1) == (3, 4)
 
+    def test_unreachable_vertex_raises(self):
+        # 2 and 3 sit at distance 1 but are unreachable from 0
+        g = Graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(PreconditionError):
+            far_pair(g, [0, 2, 3], 1)
+
 
 class TestPackingViolations:
     def test_valid(self):
