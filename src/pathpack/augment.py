@@ -30,6 +30,12 @@ class AugmentResult:
     pendant_vertex: Optional[int] = None
 
 
+def _require(ok: bool, what: str) -> None:
+    """Raise InternalInvariantError naming the broken fact unless ok."""
+    if not ok:
+        raise InternalInvariantError(what)
+
+
 def _first_at_exact(g: Graph, walk: tuple[int, ...], dmap: dict[int, int],
                     target: int) -> int:
     """Index of the first walk vertex at mapped distance exactly target,
@@ -108,11 +114,13 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
         walk_y = tuple(reversed(myz))
     walk_z = tuple(reversed(walk_y))
     v_y, v_z = walk_y[0], walk_z[0]
-    assert v_y in set_y and v_z in set_z
+    _require(v_y in set_y and v_z in set_z,
+             "branch path of yz does not run between its branch sets")
 
     dmap_w = distance_map(g, {w})
-    assert dmap_w.get(v_y, UNREACHABLE) >= 8 * ell
-    assert dmap_w.get(v_z, UNREACHABLE) >= 8 * ell
+    _require(dmap_w.get(v_y, UNREACHABLE) >= 8 * ell
+             and dmap_w.get(v_z, UNREACHABLE) >= 8 * ell,
+             f"end of p is closer than {8 * ell} to an end of the branch path")
 
     i_y = _first_at_exact(g, walk_y, dmap_w, 4 * ell)
     i_z = _first_at_exact(g, walk_z, dmap_w, 4 * ell)
@@ -123,15 +131,18 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
     set_q_z = frozenset(path_q_z)
 
     # the trimmed stubs stay far from both branch sets
-    assert dist(g, {q_y, q_z}, set_y | set_z, cutoff=4 * ell - 1) is UNREACHABLE
-    assert dist(g, set_q_y, set_z, cutoff=4 * ell - 1) is UNREACHABLE
-    assert dist(g, set_q_z, set_y, cutoff=4 * ell - 1) is UNREACHABLE
-    assert dist(g, p, set_q_y | set_q_z, cutoff=4 * ell - 1) is UNREACHABLE
+    _require(dist(g, {q_y, q_z}, set_y | set_z, cutoff=4 * ell - 1) is UNREACHABLE
+             and dist(g, set_q_y, set_z, cutoff=4 * ell - 1) is UNREACHABLE
+             and dist(g, set_q_z, set_y, cutoff=4 * ell - 1) is UNREACHABLE,
+             f"trimmed stubs come closer than {4 * ell} to a branch set")
+    _require(dist(g, p, set_q_y | set_q_z, cutoff=4 * ell - 1) is UNREACHABLE,
+             f"p comes closer than {4 * ell} to a trimmed stub")
 
     w_y = st_path(g, {w}, {q_y})
     w_z = st_path(g, {w}, {q_z})
-    assert w_y is not None and len(w_y) - 1 == 4 * ell
-    assert w_z is not None and len(w_z) - 1 == 4 * ell
+    _require(w_y is not None and len(w_y) - 1 == 4 * ell
+             and w_z is not None and len(w_z) - 1 == 4 * ell,
+             f"end of p is not at distance exactly {4 * ell} from both stub ends")
 
     stubs_close = dist(g, set_q_y, set_q_z, cutoff=ell - 1) is not UNREACHABLE
 
@@ -146,7 +157,7 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
         if near:
             # fold the approach into the subdivision vertex
             link = st_path(g, {a}, {w})
-            assert link is not None
+            _require(link is not None, "no path from a to the end of p")
             mid = frozenset(w_y) | frozenset(w_z) | frozenset(link)
             sets2[h] = mid
             parts2[e_y] = path_q_y
@@ -169,7 +180,8 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
     else:
         # the two stubs nearly meet: rebuild the junction around them
         link = st_path(g, set_q_y, set_q_z)
-        assert link is not None and len(link) - 1 < ell
+        _require(link is not None and len(link) - 1 < ell,
+                 f"no link shorter than {ell} between the close stubs")
         dmap_y = distance_map(g, set_y, cutoff=4 * ell)
         dmap_z = distance_map(g, set_z, cutoff=4 * ell)
         for walk, dmap in ((walk_y, dmap_y), (walk_z, dmap_z)):
@@ -181,9 +193,12 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
         trim_y = walk_y[3 * ell: i_y + 1]
         trim_z = walk_z[3 * ell: i_z + 1]
         region = frozenset(trim_y) | frozenset(trim_z) | frozenset(link)
-        assert dist(g, link, set_y | set_z, cutoff=3 * ell) is UNREACHABLE
-        assert dist(g, region, set_y | set_z, cutoff=3 * ell - 1) is UNREACHABLE
-        assert dist(g, p, region, cutoff=3 * ell) is UNREACHABLE
+        _require(dist(g, link, set_y | set_z, cutoff=3 * ell) is UNREACHABLE,
+                 f"stub link comes within {3 * ell} of a branch set")
+        _require(dist(g, region, set_y | set_z, cutoff=3 * ell - 1) is UNREACHABLE,
+                 f"junction region comes closer than {3 * ell} to a branch set")
+        _require(dist(g, p, region, cutoff=3 * ell) is UNREACHABLE,
+                 f"p comes within {3 * ell} of the junction region")
         try:
             junction = tripod(g, (v_y, v_z, w), region, ell, 4 * ell)
         except PreconditionError as exc:
@@ -199,8 +214,7 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
                                model=FatModel(pattern2, sets2, parts2),
                                sub_vertex=h, pendant_vertex=h2)
 
-    if __debug__:
-        _check_output(g, m, result, yz, ell)
+    _check_output(g, m, result, yz, ell)
     return result
 
 

@@ -299,7 +299,9 @@ def frame_to_packing(g: Graph, fr: Frame) -> list[tuple[int, ...]]:
             region |= part_vertices(fr.model.branch_sets[v])
         for u, v in zip(route, route[1:]):
             e = fr.pattern.edge_between(u, v)
-            assert e is not None
+            if e is None:
+                raise InternalInvariantError(
+                    f"route steps from {u} to {v} along no pattern edge")
             region |= part_vertices(fr.model.branch_parts[e])
         path = st_path(g, {wit_first}, {wit_last}, within=frozenset(region))
         if path is None or len(path) < 2:

@@ -179,7 +179,6 @@ def st_path(g: Graph, s: Iterable[int], t: Iterable[int], *,
     if common:
         return (min(common),)
     adj = g.adj
-    blocked = ss | tt
     parent: dict[int, int] = {}
     seen = set(ss)
     queue = deque(sorted(ss))
@@ -198,8 +197,7 @@ def st_path(g: Graph, s: Iterable[int], t: Iterable[int], *,
                     path.append(parent[path[-1]])
                 path.reverse()
                 return tuple(path)
-            if v not in blocked:
-                queue.append(v)
+            queue.append(v)
     return None
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import floor, inf
 from typing import Iterable, Optional, Union
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalInvariantError, PreconditionError
 from .graph import (Graph, UNREACHABLE, ball, components, dist, distance_map,
                     is_path, st_path)
 
@@ -447,7 +447,9 @@ def fat_to_clean(g: Graph, m: FatModel, q: int, ell: int) -> FatModel:
         u_end, v_end = middle[0], middle[-1]
         west = st_path(g, mu, {u_end})
         east = st_path(g, mv, {v_end})
-        assert west is not None and east is not None
+        if west is None or east is None:
+            raise InternalInvariantError(
+                f"edge {e}: no path from a branch set to its end of the middle")
         if len(west) - 1 != ell or len(east) - 1 != ell:
             raise PreconditionError(
                 f"attachment geodesics of edge {e} have lengths "

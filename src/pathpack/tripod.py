@@ -6,12 +6,21 @@ together with three connector regions p_i, one per tip, that touch z and stay
 pairwise far apart.  The construction keeps a shrinking working state (a
 "tripoid") and terminates because the working region loses at least one
 vertex per round.
+
+Cost: tripod() runs every round on one mutable copy of the state.  Each
+closeness test has a geodesic of ell+1 vertices on one side, so it is a
+disjointness test against the (ell-1)-ball around that geodesic, which is
+kept per leg and recomputed only for the leg that moved.  A round then
+costs one (ell-1)-ball and one search of depth ell from the moved anchor,
+not time in the size of the tails or of the region, except when removing
+a region endpoint that is not an induced leaf, which recomputes the
+component left behind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import InternalInvariantError, PreconditionError
 from .graph import (Graph, UNREACHABLE, ball, components, dist,
@@ -138,33 +147,171 @@ def init_tripoid(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
     legs = []
     for v in vs:
         s = st_path(g, {v}, q)
-        assert s is not None
+        if s is None:
+            raise InternalInvariantError(f"no path from tip {v} to q")
         cut = len(s) - 1 - ell
         legs.append(Leg(r=s[:cut + 1], w=s[cut], b=s[cut:]))
     t = Tripoid(c=q, xi=0, legs=(legs[0], legs[1], legs[2]),
                 q=q, vs=tuple(vs), ell=ell, d=d)
-    if __debug__:
-        bad = check_tripoid(g, t)
-        if bad:
-            raise InternalInvariantError(f"initial tripoid invalid: {bad[0]}")
+    bad = check_tripoid(g, t)
+    if bad:
+        raise InternalInvariantError(f"initial tripoid invalid: {bad[0]}")
     return t
 
 
-def _component_of(g: Graph, sub: frozenset[int], start: int) -> frozenset[int]:
-    """Component of the induced subgraph containing start."""
-    seen = {start}
+def _component_of(g: Graph, c: set[int], start: int, removed: int) -> set[int]:
+    """Component containing start of the region c with removed taken out."""
+    seen = {removed, start}
     stack = [start]
     while stack:
         u = stack.pop()
         for w in g.adj[u]:
-            if w in sub and w not in seen:
+            if w in c and w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return frozenset(seen)
+    seen.discard(removed)
+    return seen
 
 
-def _close(g: Graph, a, b, ell: int) -> bool:
-    return dist(g, a, b, cutoff=ell - 1) is not UNREACHABLE
+def _short_geodesic(g: Graph, w: int, c: set[int],
+                    ell: int) -> Optional[tuple[int, ...]]:
+    """st_path(g, {w}, c) when that path has length at most ell, else None.
+
+    The same breadth-first order as st_path, cut at depth ell, testing
+    membership in c without copying it.
+    """
+    if w in c:
+        return (w,)
+    adj = g.adj
+    parent = {w: w}
+    frontier = [w]
+    for _ in range(ell):
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v in parent:
+                    continue
+                parent[v] = u
+                if v in c:
+                    path = [v]
+                    while path[-1] != w:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return tuple(path)
+                nxt.append(v)
+        frontier = nxt
+    return None
+
+
+def _result(z: frozenset[int], tail_sets: list[set[int]],
+            bs: list[tuple[int, ...]], c: set[int], rest: int) -> TripodResult:
+    """Hub z with one connector per tail; the connector of leg rest also
+    takes its geodesic and the working region."""
+    p = [frozenset(tail) for tail in tail_sets]
+    p[rest] = p[rest] | frozenset(bs[rest]) | c
+    return TripodResult(z=z, p=(p[0], p[1], p[2]))
+
+
+def _rounds(g: Graph, t: Tripoid,
+            limit: int) -> tuple[Union[TripodResult, Tripoid], int]:
+    """Run rounds from t until one finishes or limit rounds have run.
+
+    Returns the result and the number of rounds it took, or the state after
+    limit rounds and limit.  The rounds work on a mutable copy of t: the
+    region is a set, each tail a list with a membership set, and near[j]
+    is the (ell-1)-ball around geodesic j, so every closeness test is a
+    disjointness test against a ball.
+    """
+    ell = t.ell
+    adj = g.adj
+    c = set(t.c)
+    xi = t.xi
+    tails = [list(leg.r) for leg in t.legs]
+    tail_sets = [set(leg.r) for leg in t.legs]
+    ws = [leg.w for leg in t.legs]
+    bs = [leg.b for leg in t.legs]
+    near = [ball(g, b, ell - 1) for b in bs]
+
+    for rounds in range(1, limit + 1):
+        # a tail near geodesic xi finishes with hub = that geodesic plus a link
+        for alpha in range(3):
+            if alpha == xi or near[xi].isdisjoint(tail_sets[alpha]):
+                continue
+            link = st_path(g, tail_sets[alpha], bs[xi])
+            if link is None or len(link) - 1 >= ell:
+                raise InternalInvariantError(
+                    f"no link shorter than {ell} from tail {alpha} to geodesic {xi}")
+            z = frozenset(bs[xi]) | frozenset(link)
+            return _result(z, tail_sets, bs, c, 3 - alpha - xi), rounds
+
+        # with the previous case exhausted, no tail is near any geodesic
+        for i in range(3):
+            for j in range(3):
+                if i != j and not near[j].isdisjoint(tail_sets[i]):
+                    raise InternalInvariantError(
+                        f"tail {i} near geodesic {j} after the near-xi scan")
+
+        # two close geodesics finish with hub = both geodesics plus a link
+        for alpha in range(3):
+            for beta in range(alpha + 1, 3):
+                if near[alpha].isdisjoint(bs[beta]):
+                    continue
+                link = st_path(g, bs[alpha], bs[beta])
+                if link is None or len(link) - 1 >= ell:
+                    raise InternalInvariantError(
+                        f"no link shorter than {ell} between geodesics "
+                        f"{alpha} and {beta}")
+                z = frozenset(bs[alpha]) | frozenset(bs[beta]) | frozenset(link)
+                return _result(z, tail_sets, bs, c, 3 - alpha - beta), rounds
+
+        # shrink: some region endpoint c_alpha separates the other two
+        cs = [b[-1] for b in bs]
+        if len(set(cs)) != 3:
+            raise InternalInvariantError(
+                "region endpoints coincide although no geodesic pair is close")
+        size = len(c)
+        if size < 3:
+            raise InternalInvariantError(
+                "working region too small for three distinct endpoints")
+        for alpha, beta, gamma in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+            end = cs[alpha]
+            if sum(1 for u in adj[end] if u in c) <= 1:
+                # removing an induced leaf keeps the region connected
+                c.discard(end)
+                break
+            comp = _component_of(g, c, cs[beta], end)
+            if cs[gamma] in comp:
+                c = comp
+                break
+        else:
+            raise InternalInvariantError(
+                "no region endpoint leaves the other two connected")
+
+        b_new = _short_geodesic(g, ws[alpha], c, ell)
+        if b_new is not None and len(b_new) - 1 < ell:
+            raise InternalInvariantError(
+                f"anchor {ws[alpha]} is at distance {len(b_new) - 1} < {ell} "
+                "from the new region")
+        if b_new is None:
+            # the anchor is now farther than ell: slide it one step along b
+            cand = [x for x in adj[cs[alpha]] if x in c]
+            if not cand:
+                raise InternalInvariantError(
+                    "new region has no neighbor of the removed endpoint")
+            w2 = bs[alpha][1]
+            tails[alpha].append(w2)
+            tail_sets[alpha].add(w2)
+            ws[alpha] = w2
+            b_new = bs[alpha][1:] + (min(cand),)
+        bs[alpha] = b_new
+        near[alpha] = ball(g, b_new, ell - 1)
+        xi = alpha
+        if len(c) >= size:
+            raise InternalInvariantError("working region did not shrink")
+
+    legs = [Leg(r=tuple(tails[i]), w=ws[i], b=bs[i]) for i in range(3)]
+    return Tripoid(c=frozenset(c), xi=xi, legs=(legs[0], legs[1], legs[2]),
+                   q=t.q, vs=t.vs, ell=ell, d=t.d), limit
 
 
 def tripod_step(g: Graph, t: Tripoid) -> Union[TripodResult, Tripoid]:
@@ -174,96 +321,7 @@ def tripod_step(g: Graph, t: Tripoid) -> Union[TripodResult, Tripoid]:
     ell of geodesic xi or of each other; otherwise the leg whose region
     endpoint separates the other two hands over a smaller region.
     """
-    ell = t.ell
-    legs = t.legs
-    xi = t.xi
-
-    # a tail near geodesic xi finishes with hub = that geodesic plus a link
-    for alpha in range(3):
-        if alpha == xi:
-            continue
-        if _close(g, legs[alpha].r, legs[xi].b, ell):
-            link = st_path(g, set(legs[alpha].r), set(legs[xi].b))
-            assert link is not None and len(link) - 1 < ell
-            beta = 3 - alpha - xi
-            z = frozenset(legs[xi].b) | frozenset(link)
-            p: list[frozenset[int]] = [frozenset()] * 3
-            p[alpha] = frozenset(legs[alpha].r)
-            p[xi] = frozenset(legs[xi].r)
-            p[beta] = frozenset(legs[beta].r) | frozenset(legs[beta].b) | t.c
-            return TripodResult(z=z, p=(p[0], p[1], p[2]))
-
-    if __debug__:
-        # with the previous case exhausted, no tail is near any geodesic
-        for i in range(3):
-            for j in range(3):
-                if i != j and _close(g, legs[i].r, legs[j].b, ell):
-                    raise InternalInvariantError(
-                        f"tail {i} near geodesic {j} after the near-xi scan")
-
-    # two close geodesics finish with hub = both geodesics plus a link
-    for alpha in range(3):
-        for beta in range(alpha + 1, 3):
-            if _close(g, legs[alpha].b, legs[beta].b, ell):
-                link = st_path(g, set(legs[alpha].b), set(legs[beta].b))
-                assert link is not None and len(link) - 1 < ell
-                gamma = 3 - alpha - beta
-                z = (frozenset(legs[alpha].b) | frozenset(legs[beta].b)
-                     | frozenset(link))
-                p = [frozenset()] * 3
-                p[alpha] = frozenset(legs[alpha].r)
-                p[beta] = frozenset(legs[beta].r)
-                p[gamma] = frozenset(legs[gamma].r) | frozenset(legs[gamma].b) | t.c
-                return TripodResult(z=z, p=(p[0], p[1], p[2]))
-
-    # shrink: some region endpoint c_alpha separates the other two
-    cs = [leg.b[-1] for leg in legs]
-    if len(set(cs)) != 3:
-        raise InternalInvariantError(
-            "region endpoints coincide although no geodesic pair is close")
-    if len(t.c) < 3:
-        raise InternalInvariantError(
-            "working region too small for three distinct endpoints")
-    chosen = None
-    for alpha in range(3):
-        beta, gamma = sorted(set(range(3)) - {alpha})
-        rest = t.c - {cs[alpha]}
-        if sum(1 for u in g.adj[cs[alpha]] if u in t.c) <= 1:
-            # removing an induced leaf keeps the region connected
-            chosen = (alpha, rest)
-            break
-        comp = _component_of(g, rest, cs[beta])
-        if cs[gamma] in comp:
-            chosen = (alpha, comp)
-            break
-    if chosen is None:
-        raise InternalInvariantError(
-            "no region endpoint leaves the other two connected")
-    alpha, dnew = chosen
-    leg = legs[alpha]
-    dwd = dist(g, {leg.w}, dnew, cutoff=ell)
-    if dwd < ell:
-        raise InternalInvariantError(
-            f"anchor {leg.w} is at distance {dwd} < {ell} from the new region")
-    if dwd == ell:
-        b_new = st_path(g, {leg.w}, dnew)
-        assert b_new is not None and len(b_new) - 1 == ell
-        new_leg = Leg(r=leg.r, w=leg.w, b=b_new)
-    else:
-        w2 = leg.b[1]
-        cand = [x for x in g.adj[cs[alpha]] if x in dnew]
-        if not cand:
-            raise InternalInvariantError(
-                "new region has no neighbor of the removed endpoint")
-        c2 = min(cand)
-        new_leg = Leg(r=leg.r + (w2,), w=w2, b=leg.b[1:] + (c2,))
-    new_legs = list(legs)
-    new_legs[alpha] = new_leg
-    out = Tripoid(c=dnew, xi=alpha, legs=(new_legs[0], new_legs[1], new_legs[2]),
-                  q=t.q, vs=t.vs, ell=t.ell, d=t.d)
-    if len(out.c) >= len(t.c):
-        raise InternalInvariantError("working region did not shrink")
-    return out
+    return _rounds(g, t, 1)[0]
 
 
 def check_tripod_result(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
@@ -305,17 +363,12 @@ def tripod(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
     PreconditionError if the tip hypotheses fail.
     """
     state = init_tripoid(g, vs, q, ell, d)
-    iterations = 0
-    limit = len(state.q) + 1
-    while True:
-        nxt = tripod_step(g, state)
-        iterations += 1
-        if isinstance(nxt, TripodResult):
-            res = TripodResult(z=nxt.z, p=nxt.p, iterations=iterations)
-            break
-        state = nxt
-        if iterations > limit:
-            raise InternalInvariantError("junction construction failed to terminate")
+    # every round but the last removes a vertex of the region, so a correct
+    # run finishes well within |q| + 2 rounds
+    out, iterations = _rounds(g, state, len(state.q) + 2)
+    if not isinstance(out, TripodResult):
+        raise InternalInvariantError("junction construction failed to terminate")
+    res = TripodResult(z=out.z, p=out.p, iterations=iterations)
     bad = check_tripod_result(g, tuple(vs), frozenset(q), ell, d, res)
     if bad:
         raise InternalInvariantError(f"junction output check failed: {bad[0]}")

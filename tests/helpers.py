@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from pathpack import FatModel, Graph, PatternGraph
+from pathpack import FatModel, Graph, PatternGraph, ball
 
 # One summary line per acceptance criterion; echoed by conftest at the
 # end of the run.
@@ -148,3 +148,61 @@ def random_subcubic_forest(n: int, rng: random.Random) -> PatternGraph:
             v = pat.add_vertex()
         open_slots = [u for u in pat.vertex_ids() if pat.degree(u) < 3]
     return pat
+
+
+def spider_tripod_instance(rng: random.Random):
+    """Three equal legs from a central blob; tips exactly d from the core."""
+    ell = rng.randint(1, 8)
+    d = rng.randint(ell, 4 * ell)
+    rho = rng.randint(0, 2)
+    edges = []
+    nxt = 1
+    tips = []
+    for _ in range(3):
+        prev = 0
+        for _ in range(rho + d):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+        tips.append(prev)
+    g = Graph(nxt, edges)
+    q = frozenset(ball(g, {0}, rho))
+    return g, tuple(tips), q, ell, d
+
+
+def decorated_path_tripod_instance(rng: random.Random):
+    """Long path core with tips hung at the ends and middle, plus pendant
+    twigs that leave every hypothesis intact."""
+    ell = rng.randint(1, 8)
+    d = rng.randint(ell, 4 * ell)
+    length = 4 * d + rng.randint(0, 2 * d)
+    edges = [(i, i + 1) for i in range(length)]
+    q = frozenset(range(length + 1))
+    nxt = length + 1
+    tips = []
+    for at in (0, length // 2, length):
+        delta = rng.randint(ell, d)
+        prev = at
+        for _ in range(delta):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+        tips.append(prev)
+    for _ in range(rng.randint(0, 5)):
+        prev = rng.randrange(length + 1)
+        for _ in range(rng.randint(1, 3)):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    g = Graph(nxt, edges)
+    return g, tuple(tips), q, ell, d
+
+
+def generated_tripod_instances(count: int = 200):
+    """The three-leg instances of acceptance criterion 5: odd seeds build
+    spiders, even seeds decorated paths."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        build = (spider_tripod_instance if seed % 2
+                 else decorated_path_tripod_instance)
+        yield build(rng)

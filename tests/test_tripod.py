@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
-from helpers import path_graph
-from pathpack import Graph, PreconditionError
+from helpers import generated_tripod_instances, path_graph
+from pathpack import Graph, PreconditionError, st_path
 from pathpack.tripod import (
     TripodResult,
+    _short_geodesic,
     check_tripod_result,
     check_tripoid,
     init_tripoid,
@@ -51,43 +54,99 @@ def prong_instance():
     return g, (0, 400, 401), q, 1, 4
 
 
+def random_core_instance(rng):
+    """A random connected core, a random tree plus chords, with three tips
+    on stalks of length d at distinct core vertices.  Unlike the path and
+    star cores of acceptance criterion 5, these cores have cycles and
+    branchings, so regions are cut into components and geodesics are
+    rebuilt."""
+    ell = rng.randint(1, 4)
+    d = rng.randint(ell, 4 * ell)
+    size = rng.randint(3, 40)
+    edges = [(v, rng.randrange(v)) for v in range(1, size)]
+    edges += [tuple(rng.sample(range(size), 2)) for _ in range(rng.randint(0, size))]
+    nxt = size
+    tips = []
+    for at in rng.sample(range(size), 3):
+        prev = at
+        for _ in range(d):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+        tips.append(prev)
+    return Graph(nxt, edges), tuple(tips), frozenset(range(size)), ell, d
+
+
 ALL_INSTANCES = [spider_instance, hanging_tip_instance, cycle_core_instance,
                  prong_instance]
 
 
+def shrink_branches(g, before, after):
+    """The two branches of the round that turned tripoid before into
+    after: how the region shrank and how the moved leg's geodesic
+    followed."""
+    alpha = after.xi
+    end = before.legs[alpha].b[-1]
+    leaf = sum(1 for u in g.adj[end] if u in before.c) <= 1
+    slid = after.legs[alpha].w != before.legs[alpha].w
+    return ("leaf removal" if leaf else "component replacement",
+            "geodesic slide" if slid else "geodesic rebuild")
+
+
 def run_stepwise(g, vs, q, ell, d):
     """Drive the construction one step at a time, revalidating the
-    invariants after every step."""
+    invariants after every step.  Returns the result, the step count and
+    the set of shrink branches taken."""
     state = init_tripoid(g, vs, q, ell, d)
     assert check_tripoid(g, state) == []
     steps = 0
+    branches = set()
     while True:
         nxt = tripod_step(g, state)
         steps += 1
         assert steps <= len(q) + 1
         if isinstance(nxt, TripodResult):
             assert check_tripod_result(g, vs, frozenset(q), ell, d, nxt) == []
-            return nxt, steps
+            return nxt, steps, branches
         assert check_tripoid(g, nxt) == []
+        branches.update(shrink_branches(g, state, nxt))
         state = nxt
 
 
 @pytest.mark.parametrize("build", ALL_INSTANCES)
 def test_stepwise_invariants(build):
     g, vs, q, ell, d = build()
-    res, steps = run_stepwise(g, vs, q, ell, d)
+    res, steps, _ = run_stepwise(g, vs, q, ell, d)
     assert steps <= len(q)
 
 
-@pytest.mark.parametrize("build", ALL_INSTANCES)
-def test_driver_matches_stepwise(build):
-    g, vs, q, ell, d = build()
+def assert_driver_matches_stepwise(g, vs, q, ell, d):
     res = tripod(g, vs, q, ell, d)
-    manual, steps = run_stepwise(g, vs, q, ell, d)
+    manual, steps, branches = run_stepwise(g, vs, q, ell, d)
     assert res.z == manual.z
     assert res.p == manual.p
     assert res.iterations == steps
     assert res.iterations <= len(q)
+    return branches
+
+
+@pytest.mark.parametrize("build", ALL_INSTANCES)
+def test_driver_matches_stepwise(build):
+    assert_driver_matches_stepwise(*build())
+
+
+def test_driver_matches_stepwise_on_generated():
+    """The batched rounds of tripod() agree with stepping on the 200
+    instances of acceptance criterion 5 and on 100 random cores.  The
+    criterion 5 instances only remove leaves and slide geodesics; the
+    random cores take the other two shrink branches too."""
+    instances = list(generated_tripod_instances())
+    instances += [random_core_instance(random.Random(seed)) for seed in range(100)]
+    branches = set()
+    for instance in instances:
+        branches |= assert_driver_matches_stepwise(*instance)
+    assert branches == {"leaf removal", "component replacement",
+                        "geodesic slide", "geodesic rebuild"}
 
 
 def test_spider_frozen_outcome():
@@ -167,3 +226,16 @@ def test_long_slide_iteration_count():
     res = tripod(g, vs, q, ell, d)
     assert res.iterations <= len(q)
     assert res.iterations > 10
+
+
+def test_short_geodesic_matches_st_path():
+    # the rounds' depth-limited search must pick st_path's geodesic
+    rng = random.Random(5)
+    for _ in range(300):
+        g, _, q, _, _ = random_core_instance(rng)
+        c = set(rng.sample(sorted(q), rng.randint(1, len(q))))
+        w = rng.randrange(g.n)
+        full = st_path(g, {w}, c)
+        for ell in range(6):
+            want = full if full is not None and len(full) - 1 <= ell else None
+            assert _short_geodesic(g, w, c, ell) == want
