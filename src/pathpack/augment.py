@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InternalInvariantError, PreconditionError, require
 from .graph import (Graph, UNREACHABLE, ball, dist, distance_map,
                     has_radius_at_most, is_path, st_path)
-from .model import FatModel, PatternGraph, fatness, is_clean, part_vertices, validate_model
+from .model import (FatModel, PatternGraph, _fatness, fatness, is_clean,
+                    part_vertices, validate_model)
 from .tripod import tripod
 
 
@@ -30,24 +31,16 @@ class AugmentResult:
     pendant_vertex: Optional[int] = None
 
 
-def _require(ok: bool, what: str) -> None:
-    """Raise InternalInvariantError naming the broken fact unless ok."""
-    if not ok:
-        raise InternalInvariantError(what)
-
-
 def _first_at_exact(g: Graph, walk: tuple[int, ...], dmap: dict[int, int],
                     target: int) -> int:
     """Index of the first walk vertex at mapped distance exactly target,
     checking that all earlier vertices are farther."""
     for idx, v in enumerate(walk):
         dv = dmap.get(v, UNREACHABLE)
-        if dv == target:
+        if dv <= target:
+            require(dv == target, f"walk drops below distance {target} at index "
+                    f"{idx} without passing through it")
             return idx
-        if dv < target:
-            raise InternalInvariantError(
-                f"walk drops below distance {target} at index {idx} without "
-                "passing through it")
     raise InternalInvariantError(f"walk never reaches distance {target}")
 
 
@@ -81,7 +74,23 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
             f"augment needs an {8 * ell}-fat model, measured fatness {measured}")
     if not is_clean(g, m, 4 * ell):
         raise PreconditionError(f"augment needs a {4 * ell}-clean model")
+    result = _augment(g, m, a, yz, p, ell)
+    bad = validate_model(g, result.model)
+    require(not bad, "augment output invalid: " + "; ".join(bad))
+    post = _fatness(g, result.model)
+    require(post >= ell, f"augment output fatness {post} below {ell}")
+    return result
 
+
+def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
+             ell: int) -> AugmentResult:
+    """augment of a model the caller has found 8*ell-fat and 4*ell-clean,
+    along a path p from a whose shape the caller has checked.
+
+    Checks only the output facts of this step: the mid branch set has
+    radius at most 4*ell and every other branch set and part is unchanged.
+    Whether the output is a valid ell-fat model is left to the caller.
+    """
     myz: tuple[int, ...] = m.branch_parts[yz]
     yz_set = frozenset(myz)
     approach_ball = ball(g, yz_set, 4 * ell)
@@ -114,13 +123,13 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
         walk_y = tuple(reversed(myz))
     walk_z = tuple(reversed(walk_y))
     v_y, v_z = walk_y[0], walk_z[0]
-    _require(v_y in set_y and v_z in set_z,
-             "branch path of yz does not run between its branch sets")
+    require(v_y in set_y and v_z in set_z,
+            "branch path of yz does not run between its branch sets")
 
     dmap_w = distance_map(g, {w})
-    _require(dmap_w.get(v_y, UNREACHABLE) >= 8 * ell
-             and dmap_w.get(v_z, UNREACHABLE) >= 8 * ell,
-             f"end of p is closer than {8 * ell} to an end of the branch path")
+    require(dmap_w.get(v_y, UNREACHABLE) >= 8 * ell
+            and dmap_w.get(v_z, UNREACHABLE) >= 8 * ell,
+            f"end of p is closer than {8 * ell} to an end of the branch path")
 
     i_y = _first_at_exact(g, walk_y, dmap_w, 4 * ell)
     i_z = _first_at_exact(g, walk_z, dmap_w, 4 * ell)
@@ -131,18 +140,18 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
     set_q_z = frozenset(path_q_z)
 
     # the trimmed stubs stay far from both branch sets
-    _require(dist(g, {q_y, q_z}, set_y | set_z, cutoff=4 * ell - 1) is UNREACHABLE
-             and dist(g, set_q_y, set_z, cutoff=4 * ell - 1) is UNREACHABLE
-             and dist(g, set_q_z, set_y, cutoff=4 * ell - 1) is UNREACHABLE,
-             f"trimmed stubs come closer than {4 * ell} to a branch set")
-    _require(dist(g, p, set_q_y | set_q_z, cutoff=4 * ell - 1) is UNREACHABLE,
-             f"p comes closer than {4 * ell} to a trimmed stub")
+    require(dist(g, {q_y, q_z}, set_y | set_z, cutoff=4 * ell - 1) is UNREACHABLE
+            and dist(g, set_q_y, set_z, cutoff=4 * ell - 1) is UNREACHABLE
+            and dist(g, set_q_z, set_y, cutoff=4 * ell - 1) is UNREACHABLE,
+            f"trimmed stubs come closer than {4 * ell} to a branch set")
+    require(dist(g, p, set_q_y | set_q_z, cutoff=4 * ell - 1) is UNREACHABLE,
+            f"p comes closer than {4 * ell} to a trimmed stub")
 
     w_y = st_path(g, {w}, {q_y})
     w_z = st_path(g, {w}, {q_z})
-    _require(w_y is not None and len(w_y) - 1 == 4 * ell
-             and w_z is not None and len(w_z) - 1 == 4 * ell,
-             f"end of p is not at distance exactly {4 * ell} from both stub ends")
+    require(w_y is not None and len(w_y) - 1 == 4 * ell
+            and w_z is not None and len(w_z) - 1 == 4 * ell,
+            f"end of p is not at distance exactly {4 * ell} from both stub ends")
 
     stubs_close = dist(g, set_q_y, set_q_z, cutoff=ell - 1) is not UNREACHABLE
 
@@ -157,7 +166,7 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
         if near:
             # fold the approach into the subdivision vertex
             link = st_path(g, {a}, {w})
-            _require(link is not None, "no path from a to the end of p")
+            require(link is not None, "no path from a to the end of p")
             mid = frozenset(w_y) | frozenset(w_z) | frozenset(link)
             sets2[h] = mid
             parts2[e_y] = path_q_y
@@ -180,25 +189,23 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
     else:
         # the two stubs nearly meet: rebuild the junction around them
         link = st_path(g, set_q_y, set_q_z)
-        _require(link is not None and len(link) - 1 < ell,
-                 f"no link shorter than {ell} between the close stubs")
+        require(link is not None and len(link) - 1 < ell,
+                f"no link shorter than {ell} between the close stubs")
         dmap_y = distance_map(g, set_y, cutoff=4 * ell)
         dmap_z = distance_map(g, set_z, cutoff=4 * ell)
         for walk, dmap in ((walk_y, dmap_y), (walk_z, dmap_z)):
             hits = [v for v in myz if dmap.get(v, UNREACHABLE) == 3 * ell]
-            if len(hits) != 1 or dmap.get(walk[3 * ell]) != 3 * ell:
-                raise InternalInvariantError(
-                    "cleanness violation: trim vertex not unique at layer "
-                    f"{3 * ell}")
+            require(len(hits) == 1 and dmap.get(walk[3 * ell]) == 3 * ell,
+                    f"cleanness violation: trim vertex not unique at layer {3 * ell}")
         trim_y = walk_y[3 * ell: i_y + 1]
         trim_z = walk_z[3 * ell: i_z + 1]
         region = frozenset(trim_y) | frozenset(trim_z) | frozenset(link)
-        _require(dist(g, link, set_y | set_z, cutoff=3 * ell) is UNREACHABLE,
-                 f"stub link comes within {3 * ell} of a branch set")
-        _require(dist(g, region, set_y | set_z, cutoff=3 * ell - 1) is UNREACHABLE,
-                 f"junction region comes closer than {3 * ell} to a branch set")
-        _require(dist(g, p, region, cutoff=3 * ell) is UNREACHABLE,
-                 f"p comes within {3 * ell} of the junction region")
+        require(dist(g, link, set_y | set_z, cutoff=3 * ell) is UNREACHABLE,
+                f"stub link comes within {3 * ell} of a branch set")
+        require(dist(g, region, set_y | set_z, cutoff=3 * ell - 1) is UNREACHABLE,
+                f"junction region comes closer than {3 * ell} to a branch set")
+        require(dist(g, p, region, cutoff=3 * ell) is UNREACHABLE,
+                f"p comes within {3 * ell} of the junction region")
         try:
             junction = tripod(g, (v_y, v_z, w), region, ell, 4 * ell)
         except PreconditionError as exc:
@@ -214,27 +221,12 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
                                model=FatModel(pattern2, sets2, parts2),
                                sub_vertex=h, pendant_vertex=h2)
 
-    _check_output(g, m, result, yz, ell)
-    return result
-
-
-def _check_output(g: Graph, m: FatModel, result: AugmentResult, yz: int,
-                  ell: int) -> None:
     out = result.model
-    bad = validate_model(g, out)
-    if bad:
-        raise InternalInvariantError(f"augment output invalid: {bad[0]}")
-    post = fatness(g, out)
-    if post < ell:
-        raise InternalInvariantError(
-            f"augment output fatness {post} below {ell}")
-    mid = part_vertices(out.branch_sets[result.sub_vertex])
-    if not has_radius_at_most(g, mid, 4 * ell):
-        raise InternalInvariantError(
+    require(has_radius_at_most(g, out.branch_sets[result.sub_vertex], 4 * ell),
             f"mid branch set radius exceeds {4 * ell}")
     for x, part in m.branch_sets.items():
-        if out.branch_sets.get(x) != part:
-            raise InternalInvariantError(f"branch set of vertex {x} changed")
+        require(out.branch_sets.get(x) == part, f"branch set of vertex {x} changed")
     for e, part in m.branch_parts.items():
-        if e != yz and out.branch_parts.get(e) != part:
-            raise InternalInvariantError(f"branch part of edge {e} changed")
+        require(e == yz or out.branch_parts.get(e) == part,
+                f"branch part of edge {e} changed")
+    return result

@@ -129,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coarse", action="store_true",
                    help="also require far path endpoints")
     p.add_argument("--validate", action="store_true",
-                   help="re-check every intermediate step")
+                   help="also check each frame against the scale schedule "
+                   "and verify the certificate independently (every step's "
+                   "own checks always run, also under python -O)")
     p.add_argument("--out", help="write the certificate here instead of stdout")
     p.set_defaults(func=_cmd_solve)
 

@@ -22,3 +22,15 @@ class InternalInvariantError(SolverError):
 
     Reaching this is a bug in the package, never a user error.
     """
+
+
+def require(ok: bool, what: str) -> None:
+    """Raise InternalInvariantError naming the broken fact unless ok.
+
+    Every invariant the package tests is written this way, so it still runs
+    under python -O.  InternalInvariantError is raised directly only where
+    no condition is tested: a search that ran out, or a caught
+    PreconditionError passed on with its cause.
+    """
+    if not ok:
+        raise InternalInvariantError(what)

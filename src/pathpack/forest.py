@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, PreconditionError
+from .errors import PreconditionError, require
 from .model import PatternGraph
 
 
@@ -85,8 +85,7 @@ class _Tree:
         """Remove a degree-2 vertex, merging its two edges into one."""
         u, w = sorted(self.adj[v])
         walk = self.expand(u, v)[:-1] + self.expand(v, w)
-        if w in self.adj[u]:
-            raise InternalInvariantError(
+        require(w not in self.adj[u],
                 f"suppressing {v} would create a parallel edge, cycle present")
         self.drop_vertex(v)
         self.adj[u].add(w)
@@ -141,8 +140,7 @@ def _tree_paths(tree: _Tree, z: set[int]) -> list[tuple[int, ...]]:
                 break
         if pair is not None:
             u, v = pair
-            if not (u in z and v in z):
-                raise InternalInvariantError("leaf pair escaped the marking")
+            require(u in z and v in z, "leaf pair escaped the marking")
             out.append(tuple(tree.expand(u, v)))
             tree.drop_vertex(u)
             tree.drop_vertex(v)
@@ -152,16 +150,13 @@ def _tree_paths(tree: _Tree, z: set[int]) -> list[tuple[int, ...]]:
         root = min(verts)
         depth = _bfs_order(verts, root)
         branch = [v for v, dg in degs.items() if dg == 3]
-        if not branch:
-            raise InternalInvariantError("no branching vertex in unfinished tree")
+        require(bool(branch), "no branching vertex in unfinished tree")
         u = min(branch, key=lambda v: (-depth[v], v))
         leaf_nbrs = sorted(v for v in verts[u] if degs[v] == 1)
-        if len(leaf_nbrs) < 2:
-            raise InternalInvariantError(
+        require(len(leaf_nbrs) >= 2,
                 f"deepest branching vertex {u} lacks two pendant leaves")
         v, w = leaf_nbrs[0], leaf_nbrs[1]
-        if not (v in z and w in z):
-            raise InternalInvariantError("pendant leaves escaped the marking")
+        require(v in z and w in z, "pendant leaves escaped the marking")
         walk = list(reversed(tree.expand(u, v)))[:-1] + tree.expand(u, w)
         out.append(tuple(walk))
         tree.drop_vertex(v)
@@ -188,8 +183,7 @@ def extract_z_paths(f: PatternGraph, z: frozenset[int]) -> list[tuple[int, ...]]
     for comp in comps:
         marked = set(z & comp)
         got = _tree_paths(_Tree(f, comp), marked)
-        if len(got) < len(marked) // 2:
-            raise InternalInvariantError(
+        require(len(got) >= len(marked) // 2,
                 f"extracted {len(got)} paths from a tree with {len(marked)} "
                 "marked vertices")
         paths.extend(got)

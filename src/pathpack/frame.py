@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .augment import augment
-from .errors import (InputError, InternalInvariantError, ParameterRangeError,
-                     PreconditionError)
+from .augment import _augment
+from .errors import InputError, ParameterRangeError, PreconditionError, require
 from .forest import check_branch_bound, degree_classes, extract_z_paths
 from .graph import (Graph, UNREACHABLE, ball, components, dist, distance_map,
                     has_radius_at_most, least_far_pair, radius_center, st_path)
-from .model import FatModel, PatternGraph, fat_to_clean, fatness, part_vertices, validate_model
+from .model import (FatModel, PatternGraph, _fat_to_clean, _fatness, fat_to_clean,
+                    part_vertices, validate_model)
 from .oracle import hitting_violations, packing_violations
 
 MAX_RADIUS = 2 ** 62
@@ -121,7 +121,7 @@ def validate_frame(g: Graph, fr: Frame) -> list[str]:
         out.append(f"counter i={fr.i} does not match structure value {expected}")
     if not check_branch_bound(fr.pattern):
         out.append("pattern violates the leaf/branching bound")
-    fat = fatness(g, fr.model)
+    fat = _fatness(g, fr.model)
     if fat < fr.ell:
         out.append(f"model fatness {fat} below the frame scale {fr.ell}")
     for x in fr.pattern.vertex_ids():
@@ -146,12 +146,6 @@ def validate_frame(g: Graph, fr: Frame) -> list[str]:
     return out
 
 
-def _assert_valid(g: Graph, fr: Frame, where: str) -> None:
-    bad = validate_frame(g, fr)
-    if bad:
-        raise InternalInvariantError(f"{where}: {bad[0]}")
-
-
 def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, HitSet]:
     """One induction round.
 
@@ -167,19 +161,24 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, HitSet]:
         raise PreconditionError(f"frame scale {fr.ell} too small to step down")
     if fr.r < 4 * ell:
         raise PreconditionError(f"radius budget {fr.r} below 4*ell={4 * ell}")
+    return _round(g, fr, fat_to_clean(g, fr.model, 8 * ell, 4 * ell))
 
-    clean = fat_to_clean(g, fr.model, 8 * ell, 4 * ell)
+
+def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
+    """extend_or_hit of a frame on the solver's schedule, given its model
+    made clean by fat_to_clean, whose output check is also all that augment
+    needs of its input.  The new frame is checked once, by validate_frame.
+    """
+    ell = fr.ell // 16
 
     centers: dict[int, int] = {}
     for x in clean.pattern.vertex_ids():
         c, rad = radius_center(g, part_vertices(clean.branch_sets[x]))
-        if rad > fr.r:
-            raise InternalInvariantError(
+        require(rad <= fr.r,
                 f"branch set of vertex {x} has radius {rad} above budget {fr.r}")
         centers[x] = c
     hit = frozenset(centers.values())
-    if len(hit) != len(centers):
-        raise InternalInvariantError("branch-set centers collide")
+    require(len(hit) == len(centers), "branch-set centers collide")
 
     guard = ball(g, hit, fr.r + 8 * ell)
     avoid = frozenset(range(g.n)) - guard
@@ -205,9 +204,8 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, HitSet]:
         return HitSet(x=hit)
 
     path = st_path(g, {pair[0]}, {pair[1]}, within=avoid)
-    if path is None:
-        raise InternalInvariantError("chosen terminal pair is not connected "
-                                     "off the guarded region")
+    require(path is not None,
+            "chosen terminal pair is not connected off the guarded region")
     a1, a2 = path[0], path[-1]
 
     parts_union: set[int] = set()
@@ -227,10 +225,9 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, HitSet]:
             if de is not UNREACHABLE:
                 target = e
                 break
-        if target is None:
-            raise InternalInvariantError(
+        require(target is not None,
                 "path vertex near the branch paths is near none of them")
-        grown = augment(g, clean, a1, target, trimmed, ell)
+        grown = _augment(g, clean, a1, target, trimmed, ell)
         new_frame = Frame(model=grown.model, i=fr.i + 1, ell=ell, r=fr.r,
                           coarse=fr.coarse, a_set=fr.a_set)
     else:
@@ -254,18 +251,18 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, HitSet]:
         else:
             # close pair: store its connecting geodesic as a finished path
             link = st_path(g, {a1}, {a2})
-            if link is None or len(link) - 1 >= ell:
-                raise InternalInvariantError(
+            require(link is not None and len(link) - 1 < ell,
                     f"close terminal pair has no geodesic shorter than {ell}")
             pattern2 = clean.pattern.copy()
-            h = pattern2.add_isolated()
+            h = pattern2.add_vertex()
             sets2 = dict(clean.branch_sets)
             sets2[h] = link
             new_frame = Frame(model=FatModel(pattern2, sets2, dict(clean.branch_parts)),
                               i=fr.i + 1, ell=ell, r=fr.r, coarse=fr.coarse,
                               a_set=fr.a_set)
 
-    _assert_valid(g, new_frame, "extension produced an invalid frame")
+    bad = validate_frame(g, new_frame)
+    require(not bad, "extension produced an invalid frame: " + "; ".join(bad))
     return new_frame
 
 
@@ -299,26 +296,18 @@ def frame_to_packing(g: Graph, fr: Frame) -> list[tuple[int, ...]]:
             region |= part_vertices(fr.model.branch_sets[v])
         for u, v in zip(route, route[1:]):
             e = fr.pattern.edge_between(u, v)
-            if e is None:
-                raise InternalInvariantError(
-                    f"route steps from {u} to {v} along no pattern edge")
+            require(e is not None, f"route steps from {u} to {v} along no pattern edge")
             region |= part_vertices(fr.model.branch_parts[e])
         path = st_path(g, {wit_first}, {wit_last}, within=frozenset(region))
-        if path is None or len(path) < 2:
-            raise InternalInvariantError(
+        require(path is not None and len(path) >= 2,
                 "terminal witnesses are not linked inside their model region")
         finished.append(path)
 
-    if len(finished) < t:
-        raise InternalInvariantError(
-            f"unwound only {len(finished)} paths, needed {t}")
-    if __debug__:
-        for idx, p1 in enumerate(finished):
-            for p2 in finished[idx + 1:]:
-                dd = dist(g, p1, p2, cutoff=fr.ell - 1)
-                if dd is not UNREACHABLE:
-                    raise InternalInvariantError(
-                        f"unwound paths come within {dd} < {fr.ell}")
+    require(len(finished) >= t, f"unwound only {len(finished)} paths, needed {t}")
+    for idx, p1 in enumerate(finished):
+        for p2 in finished[idx + 1:]:
+            dd = dist(g, p1, p2, cutoff=fr.ell - 1)
+            require(dd is UNREACHABLE, f"unwound paths come within {dd} < {fr.ell}")
     return finished
 
 
@@ -329,26 +318,26 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     4k-4 vertices whose balls of radius 256^k * d meet every (coarse)
     terminal path.
 
-    With validate=True every intermediate frame is checked against its
-    scheduled scale and the final certificate is re-verified.
+    Every round checks each model it builds once, whatever the flags and
+    also under python -O: the cleaned model and the new frame.
+    validate=True adds two checks: every frame's counter and scale are
+    compared with the schedule, and the final certificate is verified
+    independently by the oracle module.
     """
     a = g.check_vertex_set(a)
     k = params.k
     fr = empty_frame(a, params.frame_ell(0), params.frame_r, params.coarse)
     for i in range(2 * k - 1):
         if validate:
-            if fr.i != i or fr.ell != params.frame_ell(i):
-                raise InternalInvariantError(
+            require(fr.i == i and fr.ell == params.frame_ell(i),
                     f"frame schedule mismatch at step {i}")
-            _assert_valid(g, fr, f"frame invalid before step {i}")
         step_ell = fr.ell // 16
-        out = extend_or_hit(g, fr)
+        out = _round(g, fr, _fat_to_clean(g, fr.model, 8 * step_ell, 4 * step_ell))
         if isinstance(out, HitSet):
-            if len(out.x) > 2 * fr.i or len(out.x) > params.bound_f:
-                raise InternalInvariantError(
+            require(len(out.x) <= 2 * fr.i and len(out.x) <= params.bound_f,
                     f"hitting set size {len(out.x)} exceeds its bound")
-            if fr.r + 8 * step_ell > params.bound_g:
-                raise InternalInvariantError("guard radius exceeds the bound")
+            require(fr.r + 8 * step_ell <= params.bound_g,
+                    "guard radius exceeds the bound")
             cert: Certificate = HittingCertificate(
                 x=out.x, radius=params.bound_g,
                 coarse_threshold=params.bound_g if params.coarse else None)
@@ -356,8 +345,6 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
                 _verify_certificate(g, a, params, cert)
             return cert
         fr = out
-    if validate:
-        _assert_valid(g, fr, "final frame invalid")
     paths = frame_to_packing(g, fr)
     paths.sort(key=lambda p: (min(p), p))
     cert = PackingCertificate(paths=tuple(paths[:k]), d=params.d,
@@ -375,5 +362,4 @@ def _verify_certificate(g: Graph, a: frozenset[int], params: SolveParams,
     else:
         bad = hitting_violations(g, a, cert.x, cert.radius, params.bound_f,
                                  cert.coarse_threshold)
-    if bad:
-        raise InternalInvariantError(f"certificate failed verification: {bad[0]}")
+    require(not bad, "certificate failed verification: " + "; ".join(bad))

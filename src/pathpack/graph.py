@@ -323,32 +323,6 @@ def components(g: Graph, sub: Iterable[int]) -> list[frozenset[int]]:
     return out
 
 
-def _induced_adj(g: Graph, sub: frozenset[int]) -> dict[int, list[int]]:
-    return {u: [v for v in g.adj[u] if v in sub] for u in sub}
-
-
-def _ecc_induced(adj: dict[int, list[int]], sub_size: int, v: int) -> int | float:
-    """Eccentricity of v inside an induced subgraph given by adjacency dict."""
-    seen = {v}
-    frontier = [v]
-    depth = 0
-    count = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if nxt:
-            depth += 1
-            count += len(nxt)
-        frontier = nxt
-    if count != sub_size:
-        return UNREACHABLE
-    return depth
-
-
 def _dists_induced(adj: dict[int, list[int]], v: int) -> dict[int, int]:
     d = {v: 0}
     frontier = [v]
@@ -365,25 +339,52 @@ def _dists_induced(adj: dict[int, list[int]], v: int) -> dict[int, int]:
     return d
 
 
-def _path_structure(adj: dict[int, list[int]]) -> Optional[list[int]]:
-    """If the induced subgraph is a simple path, the vertex walk, else None."""
-    degs = {u: len(vs) for u, vs in adj.items()}
-    n = len(adj)
-    if n == 1:
-        return list(adj)
-    ends = [u for u, dg in degs.items() if dg == 1]
-    edge_count = sum(degs.values()) // 2
-    if len(ends) != 2 or edge_count != n - 1 or any(dg > 2 for dg in degs.values()):
-        return None
-    walk = [min(ends)]
-    prev = None
-    while len(walk) < n:
-        nxts = [w for w in adj[walk[-1]] if w != prev]
-        if len(nxts) != 1:
-            return None
-        prev = walk[-1]
-        walk.append(nxts[0])
-    return walk
+def _least_eccentricity(g: Graph, sub: Iterable[int], what: str,
+                        r: int | float = UNREACHABLE) -> tuple[int, int | float]:
+    """A vertex of least eccentricity in the induced subgraph g[sub] and
+    that eccentricity, ties broken by lowest id.
+
+    Exact scan with eccentricity lower bounds for pruning: a search from v
+    shows ecc(u) >= max(d(v, u), ecc(v) - d(v, u)).  With a finite r only
+    eccentricities at most r are sought: the scan skips every vertex whose
+    bound exceeds r and returns at the first vertex found within r, so the
+    eccentricity returned exceeds r when there is none.  Raises on an empty,
+    out-of-range or disconnected sub, naming the caller's `what`.
+    """
+    subset = frozenset(sub)
+    if not subset:
+        raise PreconditionError(f"{what} of empty set")
+    for v in subset:
+        g.check_vertex(v)
+    if len(subset) == 1:
+        (v,) = subset
+        return v, 0
+    adj = {u: [v for v in g.adj[u] if v in subset] for u in subset}
+    n = len(subset)
+    lb = dict.fromkeys(subset, 0)
+    heap: list[tuple[int, int]] = [(0, v) for v in sorted(subset)]
+    best_ecc: int | float = UNREACHABLE
+    best_v = -1
+    while heap:
+        bound, v = heapq.heappop(heap)
+        if bound != lb[v] or bound > min(best_ecc, r) or (bound == best_ecc and v > best_v):
+            continue
+        dv = _dists_induced(adj, v)
+        if len(dv) != n:
+            raise PreconditionError(f"{what} of disconnected set")
+        ecc = max(dv.values())
+        if ecc < best_ecc or (ecc == best_ecc and v < best_v):
+            best_ecc, best_v = ecc, v
+        if ecc <= r < UNREACHABLE:
+            break
+        limit = min(best_ecc, r)
+        for u in subset:
+            new = max(dv[u], ecc - dv[u])
+            if new > lb[u]:
+                lb[u] = new
+                if new <= limit:
+                    heapq.heappush(heap, (new, u))
+    return best_v, best_ecc
 
 
 def radius_center(g: Graph, sub: Iterable[int]) -> tuple[int, int]:
@@ -393,99 +394,14 @@ def radius_center(g: Graph, sub: Iterable[int]) -> tuple[int, int]:
     broken by lowest id.  A singleton has radius 0.  Raises on an empty or
     disconnected sub.
     """
-    subset = frozenset(sub)
-    if not subset:
-        raise PreconditionError("radius_center of empty set")
-    for v in subset:
-        g.check_vertex(v)
-    if len(subset) == 1:
-        (v,) = subset
-        return v, 0
-    adj = _induced_adj(g, subset)
-    n = len(subset)
-
-    walk = _path_structure(adj)
-    if walk is not None:
-        length = n - 1
-        radius = (length + 1) // 2
-        cands = {walk[length // 2], walk[(length + 1) // 2]}
-        return min(cands), radius
-
-    degs = [len(vs) for vs in adj.values()]
-    edge_count = sum(degs) // 2
-    if edge_count == n and all(dg == 2 for dg in degs):
-        # a single cycle, if connected; verify via one eccentricity check
-        v0 = min(subset)
-        e0 = _ecc_induced(adj, n, v0)
-        if e0 == n // 2:
-            return v0, n // 2
-
-    # General case: exact scan with eccentricity lower bounds for pruning.
-    lb = {v: 0 for v in subset}
-    heap: list[tuple[int, int]] = [(0, v) for v in sorted(subset)]
-    heapq.heapify(heap)
-    best_ecc: int | float = UNREACHABLE
-    best_v = -1
-    first = True
-    while heap:
-        bound, v = heapq.heappop(heap)
-        if bound != lb[v]:
-            continue
-        if bound > best_ecc or (bound == best_ecc and v > best_v):
-            continue
-        dv = _dists_induced(adj, v)
-        if len(dv) != n:
-            raise PreconditionError("radius_center of disconnected set")
-        first = False
-        ecc = max(dv.values())
-        if ecc < best_ecc or (ecc == best_ecc and v < best_v):
-            best_ecc, best_v = ecc, v
-        for u in subset:
-            new = max(dv[u], ecc - dv[u])
-            if new > lb[u]:
-                lb[u] = new
-                if new <= best_ecc:
-                    heapq.heappush(heap, (new, u))
-    if first:
-        raise PreconditionError("radius_center of disconnected set")
-    return best_v, int(best_ecc)
+    center, radius = _least_eccentricity(g, sub, "radius_center")
+    return center, int(radius)
 
 
 def has_radius_at_most(g: Graph, sub: Iterable[int], r: int) -> bool:
-    """Decide radius(g[sub]) <= r without always computing an exact center.
-
-    Same pruning scheme as radius_center but exits as soon as any vertex is
-    seen to have eccentricity at most r.  Raises on empty or disconnected sub.
+    """Decide radius(g[sub]) <= r without always computing an exact center:
+    the scan stops at the first vertex seen to have eccentricity at most r.
+    Raises on an empty or out-of-range sub, and on a disconnected one when
+    r >= 0; a negative r is False without a search.
     """
-    subset = frozenset(sub)
-    if not subset:
-        raise PreconditionError("radius check of empty set")
-    if len(subset) == 1:
-        return r >= 0
-    adj = _induced_adj(g, subset)
-    n = len(subset)
-    lb = {v: 0 for v in subset}
-    heap: list[tuple[int, int]] = [(0, v) for v in sorted(subset)]
-    heapq.heapify(heap)
-    checked_any = False
-    while heap:
-        bound, v = heapq.heappop(heap)
-        if bound != lb[v] or bound > r:
-            continue
-        dv = _dists_induced(adj, v)
-        if len(dv) != n:
-            raise PreconditionError("radius check of disconnected set")
-        checked_any = True
-        ecc = max(dv.values())
-        if ecc <= r:
-            return True
-        for u in subset:
-            new = max(dv[u], ecc - dv[u])
-            if new > lb[u]:
-                lb[u] = new
-                if new <= r:
-                    heapq.heappush(heap, (new, u))
-    if not checked_any:
-        # every vertex was pruned immediately, only possible when r < 0
-        return False
-    return False
+    return _least_eccentricity(g, sub, "radius check", r)[1] <= r

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import floor, inf
 from typing import Iterable, Optional, Union
 
-from .errors import InputError, InternalInvariantError, PreconditionError
+from .errors import InputError, PreconditionError, require
 from .graph import (Graph, UNREACHABLE, ball, components, dist, distance_map,
                     is_path, st_path)
 
@@ -151,9 +151,6 @@ class PatternGraph:
         self._adj[u][v] = eid
         self._adj[v][u] = eid
         return eid
-
-    def add_isolated(self) -> int:
-        return self.add_vertex()
 
     def add_leaf(self, at: int) -> tuple[int, int]:
         """New vertex pendant at `at`; returns (vertex, edge)."""
@@ -349,6 +346,11 @@ def fatness(g: Graph, m: FatModel) -> int | float:
     bad = validate_model(g, m)
     if bad:
         raise PreconditionError(f"fatness of invalid model: {bad[0]}")
+    return _fatness(g, m)
+
+
+def _fatness(g: Graph, m: FatModel) -> int | float:
+    """fatness of a model the caller has just validated."""
     elements = m.all_elements()
     best: int | float = inf
     for idx, (ka, ia, vsa) in enumerate(elements):
@@ -369,9 +371,12 @@ def is_simple(g: Graph, m: FatModel) -> list[str]:
     """Violations of simplicity: every branch part must be a path from the
     branch set of one endpoint to the branch set of the other, internally
     disjoint from both."""
-    out = validate_model(g, m)
-    if out:
-        return out
+    return validate_model(g, m) or _simplicity_violations(m)
+
+
+def _simplicity_violations(m: FatModel) -> list[str]:
+    """is_simple of a model the caller has just validated."""
+    out: list[str] = []
     for e in m.pattern.edge_ids():
         raw = m.branch_parts[e]
         name = f"branch part of edge {e}"
@@ -404,6 +409,11 @@ def is_clean(g: Graph, m: FatModel, ell: int) -> bool:
     bad = is_simple(g, m)
     if bad:
         raise PreconditionError(f"is_clean needs a simple model: {bad[0]}")
+    return _layered(g, m, ell)
+
+
+def _layered(g: Graph, m: FatModel, ell: int) -> bool:
+    """is_clean of a model the caller has just found simple."""
     for e in m.pattern.edge_ids():
         pe = part_vertices(m.branch_parts[e])
         for x in m.pattern.endpoints(e):
@@ -432,6 +442,15 @@ def fat_to_clean(g: Graph, m: FatModel, q: int, ell: int) -> FatModel:
     if measured < q + 2 * ell:
         raise PreconditionError(
             f"fat_to_clean needs a {q + 2 * ell}-fat model, measured fatness {measured}")
+    return _fat_to_clean(g, m, q, ell)
+
+
+def _fat_to_clean(g: Graph, m: FatModel, q: int, ell: int) -> FatModel:
+    """fat_to_clean of a model the caller has found (q + 2*ell)-fat.
+
+    Checks its output once: valid, q-fat and ell-clean, which is also all
+    that augment needs of its input when q = 8*ell' and ell = 4*ell'.
+    """
     new_parts: dict[int, Part] = {}
     for e in m.pattern.edge_ids():
         u, v = m.pattern.endpoints(e)
@@ -447,8 +466,7 @@ def fat_to_clean(g: Graph, m: FatModel, q: int, ell: int) -> FatModel:
         u_end, v_end = middle[0], middle[-1]
         west = st_path(g, mu, {u_end})
         east = st_path(g, mv, {v_end})
-        if west is None or east is None:
-            raise InternalInvariantError(
+        require(west is not None and east is not None,
                 f"edge {e}: no path from a branch set to its end of the middle")
         if len(west) - 1 != ell or len(east) - 1 != ell:
             raise PreconditionError(
@@ -460,10 +478,10 @@ def fat_to_clean(g: Graph, m: FatModel, q: int, ell: int) -> FatModel:
                 f"rerouted branch part of edge {e} is not a path")
         new_parts[e] = path
     out = FatModel(m.pattern, dict(m.branch_sets), new_parts)
-    if __debug__:
-        bad = validate_model(g, out)
-        assert not bad, f"fat_to_clean output invalid: {bad[0]}"
-        post = fatness(g, out)
-        assert post >= q, f"fat_to_clean output fatness {post} < {q}"
-        assert is_clean(g, out, ell), "fat_to_clean output is not clean"
+    bad = validate_model(g, out)
+    require(not bad, "fat_to_clean output invalid: " + "; ".join(bad))
+    post = _fatness(g, out)
+    require(post >= q, f"fat_to_clean output fatness {post} < {q}")
+    require(not _simplicity_violations(out) and _layered(g, out, ell),
+            "fat_to_clean output is not clean")
     return out

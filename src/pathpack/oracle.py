@@ -115,27 +115,36 @@ def verify_hitting(g: Graph, a: frozenset[int], x: frozenset[int],
     return not hitting_violations(g, a, x, radius, size_bound, coarse_threshold)
 
 
+def _spend(budget: list[int]) -> None:
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise PreconditionError("brute-force work budget exhausted")
+
+
 def _all_terminal_paths(g: Graph, a: frozenset[int], coarse: bool, d: int,
                         budget: list[int]) -> list[tuple[int, ...]]:
+    """Every path from a terminal to a larger terminal, in depth-first
+    order from each terminal, one budget unit per vertex visit.  The
+    search keeps its own stack, so long paths stay within the recursion
+    limit."""
     found: list[tuple[int, ...]] = []
-
-    def extend(path: list[int], seen: set[int]) -> None:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise PreconditionError("brute-force work budget exhausted")
-        v = path[-1]
-        if len(path) >= 2 and v in a and v > path[0]:
-            found.append(tuple(path))
-        for u in g.adj[v]:
-            if u not in seen:
+    for start in sorted(a):
+        _spend(budget)
+        path = [start]
+        seen = {start}
+        stack = [iter(g.adj[start])]
+        while stack:
+            u = next(stack[-1], None)
+            if u is None:
+                stack.pop()
+                seen.discard(path.pop())
+            elif u not in seen:
+                _spend(budget)
                 path.append(u)
                 seen.add(u)
-                extend(path, seen)
-                seen.discard(u)
-                path.pop()
-
-    for start in sorted(a):
-        extend([start], {start})
+                if u in a and u > start:
+                    found.append(tuple(path))
+                stack.append(iter(g.adj[u]))
     if coarse:
         found = [p for p in found
                  if dist(g, {p[0]}, {p[-1]}, cutoff=d - 1) is UNREACHABLE]
@@ -168,9 +177,7 @@ def brute_force_packing_exists(g: Graph, a: frozenset[int], k: int, d: int,
         if need == 0:
             return True
         for nxt in range(start, len(paths)):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise PreconditionError("brute-force work budget exhausted")
+            _spend(budget)
             if all(ok(nxt, c) for c in chosen):
                 chosen.append(nxt)
                 if search(nxt + 1, chosen, need - 1):

@@ -8,16 +8,10 @@ lower degrees by direct geodesic surgery.
 
 from __future__ import annotations
 
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InternalInvariantError, PreconditionError, require
 from .graph import Graph, ball, dist, has_radius_at_most, st_path
-from .model import FatModel, fatness, part_vertices, validate_model
+from .model import FatModel, _fatness, part_vertices, validate_model
 from .tripod import tripod
-
-
-def _dist_one(g: Graph, src: frozenset[int], v: int) -> int:
-    d = dist(g, src, {v})
-    assert isinstance(d, int)
-    return d
 
 
 def make_topological(g: Graph, m: FatModel, ell: int) -> FatModel:
@@ -32,7 +26,7 @@ def make_topological(g: Graph, m: FatModel, ell: int) -> FatModel:
     bad = validate_model(g, m)
     if bad:
         raise PreconditionError(f"invalid model: {bad[0]}")
-    fat = fatness(g, m)
+    fat = _fatness(g, m)
     if fat < 7 * ell:
         raise PreconditionError(f"model fatness {fat} below 7*ell={7 * ell}")
 
@@ -48,17 +42,17 @@ def make_topological(g: Graph, m: FatModel, ell: int) -> FatModel:
         bv = part_vertices(m.branch_sets[v])
         near_u = ball(g, bu, 2 * ell) & pe
         near_v = ball(g, bv, 2 * ell) & pe
-        assert near_u and near_v and not (near_u & near_v)
+        require(near_u and near_v and not (near_u & near_v),
+                f"the 2*ell-balls of the branch sets of edge {e} miss its "
+                "branch path or overlap on it")
         mid = st_path(g, near_u, near_v, within=pe)
-        if mid is None:
-            raise InternalInvariantError(f"branch path of edge {e} is not "
-                                         "connected between its ends")
+        require(mid is not None,
+                f"branch path of edge {e} is not connected between its ends")
         gates[(e, u)] = mid[0]
         gates[(e, v)] = mid[-1]
         middles[e] = mid
-        if __debug__:
-            assert _dist_one(g, bu, mid[0]) == 2 * ell
-            assert _dist_one(g, bv, mid[-1]) == 2 * ell
+        require(dist(g, bu, {mid[0]}) == 2 * ell and dist(g, bv, {mid[-1]}) == 2 * ell,
+                f"middle of edge {e} does not start and end 2*ell from its branch sets")
 
     sets2: dict[int, frozenset[int]] = {}
     legs: dict[tuple[int, int], frozenset[int]] = {}
@@ -70,14 +64,15 @@ def make_topological(g: Graph, m: FatModel, ell: int) -> FatModel:
         elif len(inc) == 1:
             e = inc[0]
             leg = st_path(g, {gates[(e, x)]}, bx)
-            assert leg is not None
+            require(leg is not None, f"no leg from the gate of edge {e} to vertex {x}")
             sets2[x] = frozenset({leg[-1]})
             legs[(e, x)] = frozenset(leg)
         elif len(inc) == 2:
             e1, e2 = inc
             q1 = st_path(g, {gates[(e1, x)]}, bx)
             q2 = st_path(g, {gates[(e2, x)]}, bx)
-            assert q1 is not None and q2 is not None
+            require(q1 is not None and q2 is not None,
+                    f"no legs from the gates of vertex {x} to its branch set")
             sets2[x] = frozenset(q1)
             legs[(e1, x)] = frozenset({gates[(e1, x)]})
             legs[(e2, x)] = bx | frozenset(q2)
@@ -99,18 +94,13 @@ def make_topological(g: Graph, m: FatModel, ell: int) -> FatModel:
         parts2[e] = legs[(e, u)] | frozenset(middles[e]) | legs[(e, v)]
 
     out = FatModel(pattern, sets2, parts2)
-    if __debug__:
-        bad = validate_model(g, out)
-        if bad:
-            raise InternalInvariantError(f"compressed model invalid: {bad[0]}")
-        if fatness(g, out) < ell:
-            raise InternalInvariantError("compressed model lost its fatness")
-        limit = (3 * ell) // 2
-        for x in pattern.vertex_ids():
-            if not has_radius_at_most(g, sets2[x], limit):
-                raise InternalInvariantError(
-                    f"compressed branch set of vertex {x} exceeds radius {limit}")
-            old = part_vertices(m.branch_sets[x])
-            for v in sets2[x]:
-                assert _dist_one(g, old, v) <= 2 * ell
+    bad = validate_model(g, out)
+    require(not bad, "compressed model invalid: " + "; ".join(bad))
+    require(_fatness(g, out) >= ell, "compressed model lost its fatness")
+    limit = (3 * ell) // 2
+    for x in pattern.vertex_ids():
+        require(has_radius_at_most(g, sets2[x], limit),
+                f"compressed branch set of vertex {x} exceeds radius {limit}")
+        require(sets2[x] <= ball(g, part_vertices(m.branch_sets[x]), 2 * ell),
+                f"compressed branch set of vertex {x} strays over 2*ell from the old one")
     return out

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InternalInvariantError, PreconditionError, require
 from .graph import (Graph, UNREACHABLE, ball, components, dist,
                     has_radius_at_most, is_path, st_path)
 
@@ -147,15 +147,13 @@ def init_tripoid(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
     legs = []
     for v in vs:
         s = st_path(g, {v}, q)
-        if s is None:
-            raise InternalInvariantError(f"no path from tip {v} to q")
+        require(s is not None, f"no path from tip {v} to q")
         cut = len(s) - 1 - ell
         legs.append(Leg(r=s[:cut + 1], w=s[cut], b=s[cut:]))
     t = Tripoid(c=q, xi=0, legs=(legs[0], legs[1], legs[2]),
                 q=q, vs=tuple(vs), ell=ell, d=d)
     bad = check_tripoid(g, t)
-    if bad:
-        raise InternalInvariantError(f"initial tripoid invalid: {bad[0]}")
+    require(not bad, "initial tripoid invalid: " + "; ".join(bad))
     return t
 
 
@@ -238,18 +236,15 @@ def _rounds(g: Graph, t: Tripoid,
             if alpha == xi or near[xi].isdisjoint(tail_sets[alpha]):
                 continue
             link = st_path(g, tail_sets[alpha], bs[xi])
-            if link is None or len(link) - 1 >= ell:
-                raise InternalInvariantError(
+            require(link is not None and len(link) - 1 < ell,
                     f"no link shorter than {ell} from tail {alpha} to geodesic {xi}")
             z = frozenset(bs[xi]) | frozenset(link)
             return _result(z, tail_sets, bs, c, 3 - alpha - xi), rounds
 
         # with the previous case exhausted, no tail is near any geodesic
-        for i in range(3):
-            for j in range(3):
-                if i != j and not near[j].isdisjoint(tail_sets[i]):
-                    raise InternalInvariantError(
-                        f"tail {i} near geodesic {j} after the near-xi scan")
+        require(all(i == j or near[j].isdisjoint(tail_sets[i])
+                    for i in range(3) for j in range(3)),
+                "a tail is near a geodesic after the near-xi scan")
 
         # two close geodesics finish with hub = both geodesics plus a link
         for alpha in range(3):
@@ -257,8 +252,7 @@ def _rounds(g: Graph, t: Tripoid,
                 if near[alpha].isdisjoint(bs[beta]):
                     continue
                 link = st_path(g, bs[alpha], bs[beta])
-                if link is None or len(link) - 1 >= ell:
-                    raise InternalInvariantError(
+                require(link is not None and len(link) - 1 < ell,
                         f"no link shorter than {ell} between geodesics "
                         f"{alpha} and {beta}")
                 z = frozenset(bs[alpha]) | frozenset(bs[beta]) | frozenset(link)
@@ -266,13 +260,10 @@ def _rounds(g: Graph, t: Tripoid,
 
         # shrink: some region endpoint c_alpha separates the other two
         cs = [b[-1] for b in bs]
-        if len(set(cs)) != 3:
-            raise InternalInvariantError(
+        require(len(set(cs)) == 3,
                 "region endpoints coincide although no geodesic pair is close")
         size = len(c)
-        if size < 3:
-            raise InternalInvariantError(
-                "working region too small for three distinct endpoints")
+        require(size >= 3, "working region too small for three distinct endpoints")
         for alpha, beta, gamma in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
             end = cs[alpha]
             if sum(1 for u in adj[end] if u in c) <= 1:
@@ -288,16 +279,12 @@ def _rounds(g: Graph, t: Tripoid,
                 "no region endpoint leaves the other two connected")
 
         b_new = _short_geodesic(g, ws[alpha], c, ell)
-        if b_new is not None and len(b_new) - 1 < ell:
-            raise InternalInvariantError(
-                f"anchor {ws[alpha]} is at distance {len(b_new) - 1} < {ell} "
-                "from the new region")
+        require(b_new is None or len(b_new) - 1 >= ell,
+                f"anchor {ws[alpha]} is closer than {ell} to the new region")
         if b_new is None:
             # the anchor is now farther than ell: slide it one step along b
             cand = [x for x in adj[cs[alpha]] if x in c]
-            if not cand:
-                raise InternalInvariantError(
-                    "new region has no neighbor of the removed endpoint")
+            require(bool(cand), "new region has no neighbor of the removed endpoint")
             w2 = bs[alpha][1]
             tails[alpha].append(w2)
             tail_sets[alpha].add(w2)
@@ -306,8 +293,7 @@ def _rounds(g: Graph, t: Tripoid,
         bs[alpha] = b_new
         near[alpha] = ball(g, b_new, ell - 1)
         xi = alpha
-        if len(c) >= size:
-            raise InternalInvariantError("working region did not shrink")
+        require(len(c) < size, "working region did not shrink")
 
     legs = [Leg(r=tuple(tails[i]), w=ws[i], b=bs[i]) for i in range(3)]
     return Tripoid(c=frozenset(c), xi=xi, legs=(legs[0], legs[1], legs[2]),
@@ -366,10 +352,8 @@ def tripod(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
     # every round but the last removes a vertex of the region, so a correct
     # run finishes well within |q| + 2 rounds
     out, iterations = _rounds(g, state, len(state.q) + 2)
-    if not isinstance(out, TripodResult):
-        raise InternalInvariantError("junction construction failed to terminate")
+    require(isinstance(out, TripodResult), "junction construction failed to terminate")
     res = TripodResult(z=out.z, p=out.p, iterations=iterations)
     bad = check_tripod_result(g, tuple(vs), frozenset(q), ell, d, res)
-    if bad:
-        raise InternalInvariantError(f"junction output check failed: {bad[0]}")
+    require(not bad, "junction output check failed: " + "; ".join(bad))
     return res

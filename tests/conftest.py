@@ -1,6 +1,12 @@
 """Echo the collected acceptance summary lines after the test run."""
 
-from helpers import ACCEPTANCE_LINES
+import pytest
+
+# helpers holds shared assertions; rewritten like a test module, they still
+# run under python -O
+pytest.register_assert_rewrite("helpers")
+
+from helpers import ACCEPTANCE_LINES  # noqa: E402
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -66,8 +66,10 @@ def assert_certificate(g: Graph, a: frozenset[int], params: SolveParams,
 
 
 def run_matrix(ns, validate: bool = False, per_instance_limit: float = 10.0):
-    """Every family at every size, all (k, d, mode) combinations."""
+    """Every family at every size, all (k, d, mode) combinations.  Returns
+    the number of solves and the sha256 of their certificate JSON."""
     count = 0
+    digest = hashlib.sha256()
     for n in ns:
         for fi, family in enumerate(MATRIX_FAMILIES):
             g, a = make_instance(family, n, seed=n + fi,
@@ -80,14 +82,20 @@ def run_matrix(ns, validate: bool = False, per_instance_limit: float = 10.0):
                         cert = solve(g, a, params, validate=validate)
                         assert time.monotonic() - t0 < per_instance_limit
                         assert_certificate(g, a, params, cert)
+                        digest.update(certificate_to_json(cert, params).encode())
                         count += 1
-    return count
+    return count, digest.hexdigest()
+
+
+# sha256 of the certificate JSON of the criterion 1 matrix, in solve order.
+# Changing how the solver checks its steps must leave it byte-identical.
+MATRIX_SHA256 = "1b424570e21720ead942223854b84956ff08c7a0b7ced5b9bf7b9a0a3fa8960b"
 
 
 def test_criterion_1():
     with criterion(1, "certificate bounds hold over the family matrix "
                       "up to n=20000, under 10s per instance"):
-        assert run_matrix(MATRIX_NS) == 180
+        assert run_matrix(MATRIX_NS) == (180, MATRIX_SHA256)
 
 
 def grid_instances():
@@ -353,7 +361,7 @@ def replay_schedule(g: Graph, a: frozenset[int], params: SolveParams):
 def test_criterion_9():
     with criterion(9, "matrix and walk-through reruns pass frame checks at "
                       "every scheduled scale"):
-        assert run_matrix(MATRIX_NS, validate=True) == 180
+        assert run_matrix(MATRIX_NS, validate=True) == (180, MATRIX_SHA256)
         for seed in range(500):
             run_seeded(seed, validate=True)
         g3, a3 = three_chain_instance()

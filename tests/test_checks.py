@@ -1,0 +1,69 @@
+"""The contract-checking policy: every solver round checks each model it
+builds once, validate=True adds only the schedule check and the oracle's
+verification, and python -O changes no check."""
+
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import pathpack
+from pathpack import SolveParams, make_instance, model, solve
+
+TESTS = Path(__file__).parent
+SRC = Path(pathpack.__file__).parent.parent
+
+
+def count_calls(monkeypatch, *fns) -> Counter:
+    """Count calls of each function through every pathpack module that
+    binds it."""
+    counts: Counter = Counter()
+    for fn in fns:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("pathpack") and vars(mod).get(fn.__name__) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted)
+    return counts
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_spider_round_checks_each_model_once(monkeypatch, validate):
+    """The solve builds five models: three cleaned ones and two new
+    frames.  _fatness is the measurement that fatness runs once per call."""
+    g, a = make_instance("spider", 5000)
+    counts = count_calls(monkeypatch, model._fatness, model.validate_model)
+    solve(g, a, SolveParams(2, 1), validate=validate)
+    assert counts["_fatness"] <= 5
+    assert counts["validate_model"] <= 5
+
+
+BROKEN_CLEANNESS = """
+import pathpack.model as model
+from helpers import k2_path_model
+from pathpack import InternalInvariantError, fat_to_clean
+
+model._layered = lambda g, m, ell: False
+g, m = k2_path_model(40)
+try:
+    fat_to_clean(g, m, 8, 4)
+except InternalInvariantError as exc:
+    print("InternalInvariantError:", exc)
+else:
+    print("returned")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_broken_output_contract_raises_under_every_flag(flags):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    env.pop("PYTHONOPTIMIZE", None)
+    proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_CLEANNESS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "InternalInvariantError: fat_to_clean output is not clean")

@@ -185,6 +185,58 @@ class TestRadiusCenter:
         assert has_radius_at_most(g, sub, rad)
         assert not has_radius_at_most(g, sub, rad - 1)
 
+    @pytest.mark.parametrize("check", [lambda g, s: radius_center(g, s),
+                                       lambda g, s: has_radius_at_most(g, s, 3)])
+    def test_bad_sets_raise(self, check):
+        g = Graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(InputError):
+            check(g, {1, 4})
+        with pytest.raises(PreconditionError):
+            check(g, set())
+        with pytest.raises(PreconditionError):
+            check(g, {0, 2})
+
+    def test_negative_radius_needs_no_search(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        assert not has_radius_at_most(g, {0, 2}, -1)
+        assert not has_radius_at_most(g, {0}, -1)
+
+
+def brute_radius_center(g: Graph, sub: frozenset[int]) -> tuple[int, int]:
+    ecc = {}
+    for v in sub:
+        dv = bfs_dists(Graph(g.n, [(x, y) for x, y in g.edges()
+                                   if x in sub and y in sub]), v)
+        ecc[v] = max(dv[u] for u in sub)
+    return min(sub, key=lambda v: (ecc[v], v)), min(ecc.values())
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_radius_scan_matches_brute_force(seed):
+    """Paths, cycles and trees with chords, as induced subgraphs of a
+    larger host, under every radius threshold around the true radius."""
+    rng = random.Random(seed)
+    kind = ("path", "cycle", "tree")[seed % 3]
+    n = rng.randint(1, 30)
+    order = list(range(n + 5))
+    rng.shuffle(order)
+    walk = order[:n]
+    if kind == "tree":
+        edges = [(walk[i], walk[rng.randrange(i)]) for i in range(1, n)]
+        edges += [tuple(rng.sample(walk, 2)) for _ in range(n // 5)]
+    else:
+        edges = list(zip(walk, walk[1:]))
+        if kind == "cycle" and n >= 3:
+            edges.append((walk[-1], walk[0]))
+    # a host vertex outside sub, so only the induced subgraph counts
+    edges.append((order[n], walk[0]))
+    g = Graph(n + 5, edges)
+    sub = frozenset(walk)
+    center, rad = brute_radius_center(g, sub)
+    assert radius_center(g, sub) == (center, rad)
+    for r in range(rad - 2, rad + 3):
+        assert has_radius_at_most(g, sub, r) == (r >= rad)
+
 
 class TestDistanceMap:
     def test_cutoff_truncates(self):

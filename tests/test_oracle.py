@@ -158,6 +158,11 @@ class TestBruteForce:
         g = path_graph(6)
         assert brute_force_packing_exists(g, frozenset(), 0, 1)
 
+    def test_long_path_within_recursion_limit(self):
+        # one search step per path vertex, far beyond the recursion limit
+        g = path_graph(1500)
+        assert brute_force_packing_exists(g, frozenset({0, 1499}), 1, 1)
+
     def test_budget_exhaustion_raises(self):
         g = path_graph(10)
         with pytest.raises(PreconditionError):
