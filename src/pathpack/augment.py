@@ -126,7 +126,8 @@ def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
     require(v_y in set_y and v_z in set_z,
             "branch path of yz does not run between its branch sets")
 
-    dmap_w = distance_map(g, {w})
+    # nothing below reads a distance beyond 8*ell
+    dmap_w = distance_map(g, {w}, cutoff=8 * ell)
     require(dmap_w.get(v_y, UNREACHABLE) >= 8 * ell
             and dmap_w.get(v_z, UNREACHABLE) >= 8 * ell,
             f"end of p is closer than {8 * ell} to an end of the branch path")

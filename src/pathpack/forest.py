@@ -49,7 +49,11 @@ def degree_classes(f: PatternGraph) -> DegreeClasses:
 
 def check_branch_bound(f: PatternGraph) -> bool:
     """Leaves outnumber branching vertices: |V3| <= |V1| - 2m."""
-    dc = degree_classes(f)
+    return _leaf_bound(degree_classes(f))
+
+
+def _leaf_bound(dc: DegreeClasses) -> bool:
+    """check_branch_bound of a forest whose degree classes are dc."""
     return len(dc.v3) <= len(dc.v1) - 2 * dc.m
 
 

@@ -15,9 +15,10 @@ from typing import Optional, Union
 
 from .augment import _augment
 from .errors import InputError, ParameterRangeError, PreconditionError, require
-from .forest import check_branch_bound, degree_classes, extract_z_paths
-from .graph import (Graph, UNREACHABLE, ball, components, dist, distance_map,
-                    has_radius_at_most, least_far_pair, radius_center, st_path)
+from .forest import _leaf_bound, degree_classes, extract_z_paths
+from .graph import (Graph, UNREACHABLE, _component_avoiding, ball, dist,
+                    distance_map, has_radius_at_most, least_far_pair,
+                    radius_center, st_path)
 from .model import (FatModel, PatternGraph, _fat_to_clean, _fatness, fat_to_clean,
                     part_vertices, validate_model)
 from .oracle import hitting_violations, packing_violations
@@ -119,7 +120,7 @@ def validate_frame(g: Graph, fr: Frame) -> list[str]:
     expected = len(dc.v0) + len(dc.v1) + len(dc.v2) - dc.m
     if fr.i != expected:
         out.append(f"counter i={fr.i} does not match structure value {expected}")
-    if not check_branch_bound(fr.pattern):
+    if not _leaf_bound(dc):
         out.append("pattern violates the leaf/branching bound")
     fat = _fatness(g, fr.model)
     if fat < fr.ell:
@@ -181,29 +182,33 @@ def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
     require(len(hit) == len(centers), "branch-set centers collide")
 
     guard = ball(g, hit, fr.r + 8 * ell)
-    avoid = frozenset(range(g.n)) - guard
-    comps = components(g, avoid)
-    cands = []
-    for comp in comps:
-        averts = sorted(fr.a_set & comp)
-        if len(averts) >= 2:
-            cands.append((comp, averts))
-    cands.sort(key=lambda item: item[1][0])
-
+    # Candidates are the components of the unguarded region holding two or
+    # more terminals, taken in ascending order of their least terminal; a
+    # component without terminals is never searched.  The first candidate
+    # with a far pair gives it, else the least two terminals of the first.
     pair = None
-    comp_of_pair = None
-    for comp, averts in cands:
-        found = least_far_pair(g, averts, ell)
-        if found is not None:
-            pair, comp_of_pair = found, comp
+    first = None
+    placed: set[int] = set()
+    for a in sorted(fr.a_set - guard):
+        if a in placed:
+            continue
+        comp = _component_avoiding(g, a, guard)
+        averts = sorted(fr.a_set & comp)
+        placed.update(averts)
+        if len(averts) < 2:
+            continue
+        if first is None:
+            first = (comp, averts)
+        pair = least_far_pair(g, averts, ell)
+        if pair is not None:
             break
-    if pair is None and cands:
-        comp_of_pair, averts = cands[0]
-        pair = (averts[0], averts[1])
-    if pair is None:
+    if first is None:
         return HitSet(x=hit)
+    if pair is None:
+        comp, averts = first
+        pair = (averts[0], averts[1])
 
-    path = st_path(g, {pair[0]}, {pair[1]}, within=avoid)
+    path = st_path(g, {pair[0]}, {pair[1]}, within=comp)
     require(path is not None,
             "chosen terminal pair is not connected off the guarded region")
     a1, a2 = path[0], path[-1]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import repeat
 from math import inf
 from typing import Iterable, Optional
 
@@ -72,8 +73,11 @@ class Graph:
 
     def check_vertex_set(self, vs: Iterable[int]) -> frozenset[int]:
         out = frozenset(vs)
-        for v in out:
-            self.check_vertex(v)
+        if out and not (all(map(isinstance, out, repeat(int)))
+                        and min(out) >= 0 and max(out) < self.n):
+            # only to raise: name the first bad vertex in the set's order
+            for v in out:
+                self.check_vertex(v)
         return out
 
 
@@ -84,7 +88,9 @@ def dist(g: Graph, s: Iterable[int], t: Iterable[int], *,
 
     Returns UNREACHABLE when no path exists, when either set is empty, or
     when the distance exceeds `cutoff`.  `within` restricts the whole search,
-    endpoints included, to the induced subgraph on that vertex set.
+    endpoints included, to the induced subgraph on that vertex set.  A set
+    or frozenset t is searched for as it is, not copied, so a caller can
+    pass a large target it already holds.
 
     Args:
         g: host graph.
@@ -96,19 +102,20 @@ def dist(g: Graph, s: Iterable[int], t: Iterable[int], *,
         An int distance, or UNREACHABLE.
     """
     ss = set(s)
-    tt = set(t)
+    tt = t if isinstance(t, (set, frozenset)) else set(t)
     if within is not None:
         ss &= within
-        tt &= within
+        tt = tt & within
     if not ss or not tt:
         return UNREACHABLE
-    if ss & tt:
+    if not ss.isdisjoint(tt):
         return 0
     if len(tt) < len(ss):
-        ss, tt = tt, ss
+        ss, tt = set(tt), ss
+    # the depth found does not depend on the order a level is searched in
     adj = g.adj
-    seen = set(ss)
-    frontier = sorted(ss)
+    seen = ss
+    frontier = list(ss)
     depth = 0
     while frontier:
         depth += 1
@@ -141,7 +148,7 @@ def ball(g: Graph, x: Iterable[int], r: int | float, *,
     if r < 0 or not xs:
         return frozenset()
     adj = g.adj
-    seen = set(xs)
+    seen = xs
     frontier = list(xs)
     depth = 0
     while frontier and depth < r:
@@ -323,6 +330,35 @@ def components(g: Graph, sub: Iterable[int]) -> list[frozenset[int]]:
     return out
 
 
+def _connected(g: Graph, sub: Iterable[int]) -> bool:
+    """len(components(g, sub)) == 1 in one search: True iff g[sub] is
+    nonempty and connected."""
+    rest = set(sub)
+    if not rest:
+        return False
+    adj = g.adj
+    stack = [rest.pop()]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v in rest:
+                rest.remove(v)
+                stack.append(v)
+    return not rest
+
+
+def _component_avoiding(g: Graph, v: int, blocked: frozenset[int]) -> set[int]:
+    """Vertex set of v's component in g minus blocked; v is not blocked."""
+    adj = g.adj
+    seen = {v}
+    stack = [v]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen and w not in blocked:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def _dists_induced(adj: dict[int, list[int]], v: int) -> dict[int, int]:
     d = {v: 0}
     frontier = [v]
@@ -339,6 +375,13 @@ def _dists_induced(adj: dict[int, list[int]], v: int) -> dict[int, int]:
     return d
 
 
+def _nonempty_vertex_set(g: Graph, sub: Iterable[int], what: str) -> frozenset[int]:
+    subset = frozenset(sub)
+    if not subset:
+        raise PreconditionError(f"{what} of empty set")
+    return g.check_vertex_set(subset)
+
+
 def _least_eccentricity(g: Graph, sub: Iterable[int], what: str,
                         r: int | float = UNREACHABLE) -> tuple[int, int | float]:
     """A vertex of least eccentricity in the induced subgraph g[sub] and
@@ -351,11 +394,7 @@ def _least_eccentricity(g: Graph, sub: Iterable[int], what: str,
     eccentricity returned exceeds r when there is none.  Raises on an empty,
     out-of-range or disconnected sub, naming the caller's `what`.
     """
-    subset = frozenset(sub)
-    if not subset:
-        raise PreconditionError(f"{what} of empty set")
-    for v in subset:
-        g.check_vertex(v)
+    subset = _nonempty_vertex_set(g, sub, what)
     if len(subset) == 1:
         (v,) = subset
         return v, 0
@@ -400,8 +439,15 @@ def radius_center(g: Graph, sub: Iterable[int]) -> tuple[int, int]:
 
 def has_radius_at_most(g: Graph, sub: Iterable[int], r: int) -> bool:
     """Decide radius(g[sub]) <= r without always computing an exact center:
-    the scan stops at the first vertex seen to have eccentricity at most r.
-    Raises on an empty or out-of-range sub, and on a disconnected one when
-    r >= 0; a negative r is False without a search.
+    the scan stops at the first vertex seen to have eccentricity at most r,
+    and a connected set of s vertices needs no scan when r >= s - 1, since
+    its radius is at most s - 1.  Raises on an empty or out-of-range sub,
+    and on a disconnected one when r >= 0; a negative r is False without a
+    search.
     """
-    return _least_eccentricity(g, sub, "radius check", r)[1] <= r
+    subset = frozenset(sub)
+    if r < len(subset) - 1:
+        return _least_eccentricity(g, subset, "radius check", r)[1] <= r
+    if not _connected(g, _nonempty_vertex_set(g, subset, "radius check")):
+        raise PreconditionError("radius check of disconnected set")
+    return True

@@ -14,7 +14,7 @@ from math import floor, inf
 from typing import Iterable, Optional, Union
 
 from .errors import InputError, PreconditionError, require
-from .graph import (Graph, UNREACHABLE, ball, components, dist, distance_map,
+from .graph import (Graph, UNREACHABLE, _connected, ball, dist, distance_map,
                     is_path, st_path)
 
 # A branch part: ordered path (tuple) or unordered connected set (frozenset).
@@ -285,7 +285,7 @@ def validate_model(g: Graph, m: FatModel) -> list[str]:
         if bad:
             violations.append(f"branch part of {name} has out-of-range ids {sorted(bad)}")
             continue
-        if len(components(g, vs)) != 1:
+        if not _connected(g, vs):
             violations.append(f"branch part of {name} is not connected")
         raw = (m.branch_sets if kind == "v" else m.branch_parts)[i]
         if isinstance(raw, tuple) and not is_path(g, raw):
@@ -354,16 +354,17 @@ def _fatness(g: Graph, m: FatModel) -> int | float:
     elements = m.all_elements()
     best: int | float = inf
     for idx, (ka, ia, vsa) in enumerate(elements):
-        # one BFS from each element gives distances to all later ones
-        others = [(kb, ib, vsb) for kb, ib, vsb in elements[idx + 1:]
-                  if not _exempt(m, (ka, ia), (kb, ib))]
+        # the least distance to the later elements is the distance to their
+        # union, and one search that stops below best finds it
+        others: set[int] = set()
+        for kb, ib, vsb in elements[idx + 1:]:
+            if not _exempt(m, (ka, ia), (kb, ib)):
+                others |= vsb
         if not others:
             continue
-        dmap = distance_map(g, vsa, cutoff=best if best is not inf else None)
-        for kb, ib, vsb in others:
-            dv = min((dmap.get(v, inf) for v in vsb), default=inf)
-            if dv < best:
-                best = dv
+        dv = dist(g, vsa, others, cutoff=None if best is inf else best - 1)
+        if dv < best:
+            best = dv
     return best
 
 

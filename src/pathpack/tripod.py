@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import InternalInvariantError, PreconditionError, require
-from .graph import (Graph, UNREACHABLE, ball, components, dist,
+from .graph import (Graph, UNREACHABLE, _connected, ball, dist,
                     has_radius_at_most, is_path, st_path)
 
 
@@ -68,7 +68,7 @@ def check_tripoid(g: Graph, t: Tripoid) -> list[str]:
         return out
     if not t.c <= t.q:
         out.append("working region leaves q")
-    if len(components(g, t.c)) != 1:
+    if not _connected(g, t.c):
         out.append("working region is not connected")
     ball_q = ball(g, t.q, ell)
     for i, leg in enumerate(t.legs):
@@ -128,7 +128,7 @@ def init_tripoid(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
         g.check_vertex(v)
     if not q:
         raise PreconditionError("q must be nonempty")
-    if len(components(g, q)) != 1:
+    if not _connected(g, q):
         raise PreconditionError("q must be connected")
     for i, v in enumerate(vs):
         dv = dist(g, {v}, q)
@@ -314,7 +314,7 @@ def check_tripod_result(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
                         ell: int, d: int, res: TripodResult) -> list[str]:
     """Violations of the five output guarantees, empty when all hold."""
     out: list[str] = []
-    if len(components(g, res.z)) != 1:
+    if not _connected(g, res.z):
         out.append("hub is not connected")
     if not has_radius_at_most(g, res.z, (3 * ell) // 2):
         out.append(f"hub radius exceeds {(3 * ell) // 2}")
@@ -327,7 +327,7 @@ def check_tripod_result(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
             out.append(f"connector {i} misses its tip {vs[i]}")
         if not (res.z & pi):
             out.append(f"connector {i} does not touch the hub")
-        if len(components(g, pi)) != 1:
+        if not _connected(g, pi):
             out.append(f"connector {i} is not connected")
         allowed = ball(g, {vs[i]}, d - ell - 1) | ball_q
         stray = pi - allowed

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pathpack
-from pathpack import SolveParams, make_instance, model, solve
+from pathpack import SolveParams, graph, make_instance, model, solve
 
 TESTS = Path(__file__).parent
 SRC = Path(pathpack.__file__).parent.parent
@@ -40,6 +40,19 @@ def test_spider_round_checks_each_model_once(monkeypatch, validate):
     solve(g, a, SolveParams(2, 1), validate=validate)
     assert counts["_fatness"] <= 5
     assert counts["validate_model"] <= 5
+
+
+def test_spider_round_runs_no_whole_graph_search(monkeypatch):
+    """Connectivity is one search over the set and candidate components
+    grow from terminals, so no round splits a region into components;
+    fatness stops at the nearest element, so the distance maps left are
+    the cleanness layers, augment's, the far-pair searches and the round's
+    approach map: 8, 3, 2 and 1 calls on this solve."""
+    g, a = make_instance("spider", 5000)
+    counts = count_calls(monkeypatch, graph.components, graph.distance_map)
+    solve(g, a, SolveParams(2, 1))
+    assert counts["components"] == 0
+    assert counts["distance_map"] <= 14
 
 
 BROKEN_CLEANNESS = """

@@ -49,6 +49,16 @@ class TestConstruction:
         with pytest.raises(InputError):
             Graph(2, [(0, 2)])
 
+    def test_vertex_set_check_names_the_first_bad_vertex(self):
+        g = Graph(4, [(0, 1)])
+        assert g.check_vertex_set([3, 0, 3]) == frozenset({0, 3})
+        assert g.check_vertex_set([]) == frozenset()
+        for bad in ([0, 4], [-1, 2], [1, 2.0, 3], [0, "1"]):
+            out = frozenset(bad)
+            culprit = next(v for v in out if not (isinstance(v, int) and 0 <= v < 4))
+            with pytest.raises(InputError, match=f"^vertex {culprit!r} out of range for n=4$"):
+                g.check_vertex_set(bad)
+
     def test_empty_graph(self):
         g = Graph(0, [])
         assert g.n == 0
@@ -358,3 +368,77 @@ def test_ball_matches_bfs(seed, c, r):
     c = c % g.n
     ref = bfs_dists(g, c)
     assert ball(g, {c}, r) == {v for v, dv in ref.items() if dv <= r}
+
+
+def grown_set(g: Graph, rng: random.Random, size: int) -> set[int]:
+    """A connected set of up to size vertices, grown one random neighbour
+    at a time from a random vertex."""
+    sub = {rng.randrange(g.n)}
+    rim = sorted({w for v in sub for w in g.adj[v]} - sub)
+    while rim and len(sub) < size:
+        sub.add(rng.choice(rim))
+        rim = sorted({w for v in sub for w in g.adj[v]} - sub)
+    return sub
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 40), st.integers(0, 3))
+def test_connected_matches_components(seed, size, cuts):
+    """Grown sets with up to three vertices removed, so both answers occur,
+    down to the empty set."""
+    g = random_graph(seed)
+    rng = random.Random(seed)
+    sub = grown_set(g, rng, size) if size else set()
+    for _ in range(min(cuts, len(sub))):
+        sub.discard(rng.choice(sorted(sub)))
+    want = len(components(g, sub)) == 1
+    assert graph_module._connected(g, sub) == want
+    assert graph_module._connected(g, frozenset(sub)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 25), st.booleans())
+def test_has_radius_at_most_matches_radius_center(seed, size, cut):
+    """Every r from -2 to |S|+1, on both sides of r = |S|-1, where the
+    check needs no eccentricity scan."""
+    g = random_graph(seed)
+    rng = random.Random(seed)
+    sub = grown_set(g, rng, size)
+    if cut and len(sub) > 1:
+        sub.discard(rng.choice(sorted(sub)))
+    rs = range(-2, len(sub) + 2)
+    if len(components(g, sub)) == 1:
+        _, rad = radius_center(g, sub)
+        assert [has_radius_at_most(g, sub, r) for r in rs] == [r >= rad for r in rs]
+        return
+    for r in rs:
+        if r < 0:
+            assert not has_radius_at_most(g, sub, r)
+        else:
+            with pytest.raises(PreconditionError, match="^radius check of disconnected set$"):
+                has_radius_at_most(g, sub, r)
+
+
+def test_radius_check_of_empty_set_raises_at_every_r():
+    g = path_graph(3)
+    for r in range(-2, 4):
+        with pytest.raises(PreconditionError, match="^radius check of empty set$"):
+            has_radius_at_most(g, set(), r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sets(st.integers(0, 39), max_size=6),
+       st.sets(st.integers(0, 39), max_size=6), st.integers(0, 6))
+def test_set_dist_matches_bfs_and_keeps_its_arguments(seed, s, t, cutoff):
+    g = random_graph(seed)
+    s = {v % g.n for v in s}
+    t = frozenset(v % g.n for v in t)
+    want = min((bfs_dists(g, a).get(b, UNREACHABLE) for a in s for b in t),
+               default=UNREACHABLE)
+    if want > cutoff:
+        want = UNREACHABLE
+    s_before, t_set = set(s), set(t)
+    assert dist(g, s, t, cutoff=cutoff) == want
+    assert dist(g, s, t_set, cutoff=cutoff) == want
+    assert dist(g, t_set, s, cutoff=cutoff) == want
+    assert s == s_before and t_set == t

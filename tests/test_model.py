@@ -1,16 +1,26 @@
+import random
 from math import inf
 
 import pytest
 
-from helpers import k2_path_model, path_graph
+from helpers import (c6_grid_model, k2_path_model, p3_path_model, path_graph,
+                     star_grid_model)
 from pathpack import (
+    A_POLICIES,
+    FAMILIES,
     FatModel,
     Graph,
     InputError,
     PatternGraph,
     PreconditionError,
+    SolveParams,
+    dist,
+    frame,
+    make_instance,
+    solve,
 )
 from pathpack.model import (
+    _fatness,
     fat_to_clean,
     fatness,
     is_clean,
@@ -302,3 +312,67 @@ class TestFatToClean:
         g, m = k2_path_model(100)
         with pytest.raises(PreconditionError):
             fat_to_clean(g, m, 2, 4)
+
+
+def brute_fatness(g: Graph, m: FatModel) -> float:
+    """Least dist over every element pair but incident vertex-edge ones."""
+    best = inf
+    elements = m.all_elements()
+    for idx, (ka, ia, vsa) in enumerate(elements):
+        for kb, ib, vsb in elements[idx + 1:]:
+            if ka != kb:
+                x, e = (ia, ib) if ka == "v" else (ib, ia)
+                if x in m.pattern.endpoints(e):
+                    continue
+            best = min(best, dist(g, vsa, vsb))
+    return best
+
+
+def helper_models():
+    rng = random.Random(5)
+    for _ in range(4):
+        yield k2_path_model(rng.randint(2, 40))
+        yield p3_path_model(rng.randint(1, 4))
+    for ell, extra in ((1, 0), (1, 3), (2, 1)):
+        yield star_grid_model(ell, extra)
+        yield c6_grid_model(ell, extra)
+
+
+def scattered_models():
+    """Isolated pattern vertices on disjoint random vertex pairs or
+    singletons of a random host, so the least distance may sit between any
+    two elements, not just the first and another."""
+    for seed in range(30):
+        rng = random.Random(seed)
+        g, _ = make_instance("random", 40, seed=seed)
+        picks = rng.sample(range(g.n), 2 * rng.randint(2, 8))
+        sets = {}
+        for x, (u, v) in enumerate(zip(picks[::2], picks[1::2])):
+            sets[x] = frozenset({u, v}) if v in g.adj[u] else frozenset({u})
+        yield g, FatModel(PatternGraph.from_parts(sets, {}), sets, {})
+
+
+def solver_models(monkeypatch):
+    """The model of every frame that small solves build."""
+    out = []
+    check = frame.validate_frame
+
+    def record(g, fr):
+        out.append((g, fr.model))
+        return check(g, fr)
+    monkeypatch.setattr(frame, "validate_frame", record)
+    for family in FAMILIES:
+        for policy in A_POLICIES:
+            g, a = make_instance(family, 60, seed=1, a_policy=policy)
+            for k in (2, 3):
+                solve(g, a, SolveParams(k, 1))
+    monkeypatch.undo()
+    return out
+
+
+def test_fatness_matches_brute_force(monkeypatch):
+    cases = [*helper_models(), *scattered_models(), *solver_models(monkeypatch)]
+    assert sum(m.pattern.n_edges >= 2 for _, m in cases) >= 8
+    for g, m in cases:
+        assert validate_model(g, m) == []
+        assert _fatness(g, m) == brute_fatness(g, m)
