@@ -14,8 +14,9 @@ from .errors import (InputError, InternalInvariantError, ParameterRangeError,
 from .forest import (DegreeClasses, check_branch_bound, degree_classes,
                      extract_z_paths)
 from .frame import (Certificate, Frame, HitSet, HittingCertificate,
-                    PackingCertificate, SolveParams, empty_frame,
-                    extend_or_hit, frame_to_packing, solve, validate_frame)
+                    PackingCertificate, SolveParams, certificate_violations,
+                    empty_frame, extend_or_hit, frame_to_packing, solve,
+                    validate_frame)
 from .generate import A_POLICIES, FAMILIES, make_instance
 from .graph import (Graph, UNREACHABLE, ball, components, dist, distance_map,
                     has_radius_at_most, is_path, least_far_pair,
@@ -57,6 +58,7 @@ __all__ = [
     "augment",
     "ball",
     "brute_force_packing_exists",
+    "certificate_violations",
     "check_branch_bound",
     "check_tripod_result",
     "check_tripoid",

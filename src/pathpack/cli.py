@@ -16,10 +16,9 @@ from typing import Optional
 from . import fileio
 from .errors import (InputError, InternalInvariantError, ParameterRangeError,
                      PreconditionError)
-from .frame import HittingCertificate, PackingCertificate, SolveParams, solve
+from .frame import PackingCertificate, SolveParams, certificate_violations, solve
 from .generate import A_POLICIES, FAMILIES, make_instance
 from .model import _fatness, fat_to_clean
-from .oracle import hitting_violations, packing_violations
 from .topominor import make_topological
 from .tripod import tripod
 
@@ -58,15 +57,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = fileio.read_graph(args.graph)
     a = g.check_vertex_set(fileio.read_vertex_set(args.a_set))
     params, cert = fileio.read_certificate(args.certificate)
-    if isinstance(cert, PackingCertificate):
-        bad = packing_violations(g, a, cert.paths, params.k, params.d,
-                                 params.coarse)
-    else:
-        if params.coarse and cert.coarse_threshold is None:
-            bad = ["coarse hitting certificate misses its threshold"]
-        else:
-            bad = hitting_violations(g, a, cert.x, cert.radius, params.bound_f,
-                                     cert.coarse_threshold)
+    bad = certificate_violations(g, a, params, cert)
     if bad:
         print(f"invalid: {bad[0]}", file=sys.stderr)
         return EXIT_FAIL

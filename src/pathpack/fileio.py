@@ -120,7 +120,7 @@ def certificate_from_json(text: str) -> tuple[SolveParams, Certificate]:
     for key in ("type", "k", "d", "coarse"):
         if key not in doc:
             raise InputError(f"certificate misses key {key!r}")
-    params = SolveParams(k=doc["k"], d=doc["d"], coarse=bool(doc["coarse"]))
+    params = SolveParams(k=doc["k"], d=doc["d"], coarse=doc["coarse"])
     kind = doc["type"]
     if kind == "packing":
         paths = doc.get("paths")

@@ -10,7 +10,7 @@ successful rounds the frame is unwound into k far-apart terminal paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .augment import _augment
@@ -24,6 +24,9 @@ from .model import (FatModel, PatternGraph, _fat_to_clean, _fatness, fat_to_clea
 from .oracle import hitting_violations, packing_violations
 
 MAX_RADIUS = 2 ** 62
+# 256^k * d < 2^62 with d >= 1 needs k < 62 / 8; a larger k is refused
+# before 256^k is built, which for a huge k would never finish.
+MAX_K = 7
 
 
 @dataclass(frozen=True)
@@ -34,11 +37,14 @@ class SolveParams:
     coarse: bool = False
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and self.k >= 1):
+        # type(), not isinstance: bool is an int subclass, and True is no k
+        if not (type(self.k) is int and self.k >= 1):
             raise InputError(f"k must be a positive integer, got {self.k!r}")
-        if not (isinstance(self.d, int) and self.d >= 1):
+        if not (type(self.d) is int and self.d >= 1):
             raise InputError(f"d must be a positive integer, got {self.d!r}")
-        if 256 ** self.k * self.d >= MAX_RADIUS:
+        if not isinstance(self.coarse, bool):
+            raise InputError(f"coarse must be a boolean, got {self.coarse!r}")
+        if self.k > MAX_K or 256 ** self.k * self.d >= MAX_RADIUS:
             raise ParameterRangeError(
                 f"hitting radius 256^{self.k} * {self.d} exceeds the "
                 f"supported range (< 2^62)")
@@ -211,12 +217,10 @@ def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
     path = st_path(g, {pair[0]}, {pair[1]}, within=comp)
     require(path is not None,
             "chosen terminal pair is not connected off the guarded region")
+    require(guard.isdisjoint(path), "new terminal path enters the guarded region")
     a1, a2 = path[0], path[-1]
 
-    parts_union: set[int] = set()
-    for e in clean.pattern.edge_ids():
-        parts_union |= part_vertices(clean.branch_parts[e])
-
+    parts_union = clean.part_union()
     near_map = distance_map(g, parts_union, cutoff=4 * ell) if parts_union else {}
     touch_idx = next((idx for idx, v in enumerate(path) if v in near_map), None)
 
@@ -233,8 +237,7 @@ def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
         require(target is not None,
                 "path vertex near the branch paths is near none of them")
         grown = _augment(g, clean, a1, target, trimmed, ell)
-        new_frame = Frame(model=grown.model, i=fr.i + 1, ell=ell, r=fr.r,
-                          coarse=fr.coarse, a_set=fr.a_set)
+        new_frame = replace(fr, model=grown.model, i=fr.i + 1, ell=ell)
     else:
         close_pair = dist(g, {a1}, {a2}, cutoff=ell - 1) is not UNREACHABLE
         if not close_pair:
@@ -246,9 +249,8 @@ def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
             sets2[h1] = frozenset({a1})
             sets2[h2] = frozenset({a2})
             parts2[e] = path
-            new_frame = Frame(model=FatModel(pattern2, sets2, parts2),
-                              i=fr.i + 1, ell=ell, r=fr.r, coarse=fr.coarse,
-                              a_set=fr.a_set)
+            new_frame = replace(fr, model=FatModel(pattern2, sets2, parts2),
+                                i=fr.i + 1, ell=ell)
         elif fr.coarse:
             # every avoiding terminal pair is close, so no ell-coarse
             # terminal path avoids the guarded region
@@ -262,9 +264,9 @@ def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
             h = pattern2.add_vertex()
             sets2 = dict(clean.branch_sets)
             sets2[h] = link
-            new_frame = Frame(model=FatModel(pattern2, sets2, dict(clean.branch_parts)),
-                              i=fr.i + 1, ell=ell, r=fr.r, coarse=fr.coarse,
-                              a_set=fr.a_set)
+            new_frame = replace(fr, model=FatModel(pattern2, sets2,
+                                                   dict(clean.branch_parts)),
+                                i=fr.i + 1, ell=ell)
 
     bad = validate_frame(g, new_frame)
     require(not bad, "extension produced an invalid frame: " + "; ".join(bad))
@@ -346,25 +348,40 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
             cert: Certificate = HittingCertificate(
                 x=out.x, radius=params.bound_g,
                 coarse_threshold=params.bound_g if params.coarse else None)
-            if validate:
-                _verify_certificate(g, a, params, cert)
-            return cert
+            break
         fr = out
-    paths = frame_to_packing(g, fr)
-    paths.sort(key=lambda p: (min(p), p))
-    cert = PackingCertificate(paths=tuple(paths[:k]), d=params.d,
-                              coarse=params.coarse)
+    else:
+        paths = frame_to_packing(g, fr)
+        paths.sort(key=lambda p: (min(p), p))
+        cert = PackingCertificate(paths=tuple(paths[:k]), d=params.d,
+                                  coarse=params.coarse)
     if validate:
-        _verify_certificate(g, a, params, cert)
+        bad = certificate_violations(g, a, params, cert)
+        require(not bad, "certificate failed verification: " + "; ".join(bad))
     return cert
 
 
-def _verify_certificate(g: Graph, a: frozenset[int], params: SolveParams,
-                        cert: Certificate) -> None:
+def certificate_violations(g: Graph, a: frozenset[int], params: SolveParams,
+                           cert: Certificate) -> list[str]:
+    """All reasons cert is not a valid answer for (g, a) under params, empty
+    when it is one.
+
+    A hitting certificate states its own ball radius and, in coarse mode,
+    its threshold; neither may exceed the bound 256^k * d that params
+    allows, a coarse certificate must state a threshold and a plain one
+    must not.  The rest is decided by the oracle module's verifiers.
+    """
     if isinstance(cert, PackingCertificate):
-        bad = packing_violations(g, a, cert.paths, params.k, params.d,
-                                 params.coarse)
-    else:
-        bad = hitting_violations(g, a, cert.x, cert.radius, params.bound_f,
-                                 cert.coarse_threshold)
-    require(not bad, "certificate failed verification: " + "; ".join(bad))
+        return packing_violations(g, a, cert.paths, params.k, params.d,
+                                  params.coarse)
+    out: list[str] = []
+    if cert.radius > params.bound_g:
+        out.append(f"ball radius {cert.radius} exceeds the bound {params.bound_g}")
+    thr = cert.coarse_threshold
+    if params.coarse and thr is None:
+        out.append("coarse hitting certificate misses its threshold")
+    elif not params.coarse and thr is not None:
+        out.append("non-coarse hitting certificate states a coarse threshold")
+    elif thr is not None and thr > params.bound_g:
+        out.append(f"coarse threshold {thr} exceeds the bound {params.bound_g}")
+    return out or hitting_violations(g, a, cert.x, cert.radius, params.bound_f, thr)

@@ -8,8 +8,7 @@ every operation here is deterministic.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from itertools import repeat
+from itertools import count, repeat
 from math import inf
 from typing import Iterable, Optional
 
@@ -82,30 +81,24 @@ class Graph:
 
 
 def dist(g: Graph, s: Iterable[int], t: Iterable[int], *,
-         cutoff: Optional[int] = None,
-         within: Optional[frozenset[int]] = None) -> int | float:
+         cutoff: Optional[int] = None) -> int | float:
     """Shortest-path distance between vertex sets s and t.
 
     Returns UNREACHABLE when no path exists, when either set is empty, or
-    when the distance exceeds `cutoff`.  `within` restricts the whole search,
-    endpoints included, to the induced subgraph on that vertex set.  A set
-    or frozenset t is searched for as it is, not copied, so a caller can
-    pass a large target it already holds.
+    when the distance exceeds `cutoff`.  A set or frozenset t is searched
+    for as it is, not copied, so a caller can pass a large target it
+    already holds.
 
     Args:
         g: host graph.
         s, t: vertex sets (any iterables of ids).
         cutoff: if given, give up beyond this many steps.
-        within: optional traversal restriction.
 
     Returns:
         An int distance, or UNREACHABLE.
     """
     ss = set(s)
     tt = t if isinstance(t, (set, frozenset)) else set(t)
-    if within is not None:
-        ss &= within
-        tt = tt & within
     if not ss or not tt:
         return UNREACHABLE
     if not ss.isdisjoint(tt):
@@ -126,8 +119,6 @@ def dist(g: Graph, s: Iterable[int], t: Iterable[int], *,
             for v in adj[u]:
                 if v in seen:
                     continue
-                if within is not None and v not in within:
-                    continue
                 if v in tt:
                     return depth
                 seen.add(v)
@@ -136,81 +127,86 @@ def dist(g: Graph, s: Iterable[int], t: Iterable[int], *,
     return UNREACHABLE
 
 
-def ball(g: Graph, x: Iterable[int], r: int | float, *,
-         within: Optional[frozenset[int]] = None) -> frozenset[int]:
+def ball(g: Graph, x: Iterable[int], r: int | float) -> frozenset[int]:
     """All vertices at distance at most r from the set x.
 
     A negative radius gives the empty set; radius 0 gives x itself.
     """
-    xs = set(x)
-    if within is not None:
-        xs &= within
-    if r < 0 or not xs:
+    seen = set(x)
+    if r < 0 or not seen:
         return frozenset()
     adj = g.adj
-    seen = xs
-    frontier = list(xs)
+    frontier = list(seen)
     depth = 0
     while frontier and depth < r:
         depth += 1
         nxt = []
         for u in frontier:
             for v in adj[u]:
-                if v in seen:
-                    continue
-                if within is not None and v not in within:
-                    continue
-                seen.add(v)
-                nxt.append(v)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
         frontier = nxt
     return frozenset(seen)
 
 
 def st_path(g: Graph, s: Iterable[int], t: Iterable[int], *,
+            cutoff: Optional[int] = None,
             within: Optional[frozenset[int]] = None) -> Optional[tuple[int, ...]]:
     """A shortest s-t path: first vertex in s, last in t, no internal vertex
     in s or t.
 
     Deterministic: sources are seeded in ascending id and neighbors explored
     in ascending id.  When s and t intersect the path is the single lowest
-    common vertex.  Returns None when no such path exists.
+    common vertex.  Returns None when no such path exists, or none of length
+    at most `cutoff`.  `within` restricts the whole search, endpoints
+    included, to the induced subgraph on that vertex set; without it, a set
+    or frozenset t is searched for as it is, not copied.
     """
     ss = set(s)
-    tt = set(t)
+    tt = t if isinstance(t, (set, frozenset)) else set(t)
     if within is not None:
-        ss = ss & within
+        ss &= within
         tt = tt & within
     if not ss or not tt:
         return None
-    common = ss & tt
-    if common:
-        return (min(common),)
+    if not ss.isdisjoint(tt):
+        return (min(ss & tt),)
     adj = g.adj
-    parent: dict[int, int] = {}
-    seen = set(ss)
-    queue = deque(sorted(ss))
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v in seen:
+    parent = dict.fromkeys(ss)
+    # one level at a time, in the order a FIFO queue would visit them
+    frontier = sorted(ss)
+    for _ in count() if cutoff is None else range(cutoff):
+        nxt = []
+        for u in frontier:
+            # a vertex outside within is seen, but is no target nor searched
+            if within is not None and u not in within:
                 continue
-            if within is not None and v not in within:
-                continue
-            seen.add(v)
-            parent[v] = u
-            if v in tt:
-                path = [v]
-                while path[-1] not in ss:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return tuple(path)
-            queue.append(v)
+            for v in adj[u]:
+                if v in parent:
+                    continue
+                parent[v] = u
+                if v in tt:
+                    path = [v]
+                    while path[-1] not in ss:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return tuple(path)
+                nxt.append(v)
+        if not nxt:
+            break
+        frontier = nxt
     return None
 
 
 def distance_map(g: Graph, src: Iterable[int], *,
                  cutoff: Optional[int | float] = None) -> dict[int, int]:
     """BFS distance from a vertex set to every vertex within cutoff."""
+    return _levels(g.adj, src, cutoff)
+
+
+def _levels(adj, src: Iterable[int], cutoff: Optional[int | float]) -> dict[int, int]:
+    """distance_map over adj[u] lists: the host's, or an induced subgraph's."""
     dmap = {v: 0 for v in src}
     frontier = sorted(dmap)
     depth = 0
@@ -220,7 +216,7 @@ def distance_map(g: Graph, src: Iterable[int], *,
             break
         nxt = []
         for u in frontier:
-            for v in g.adj[u]:
+            for v in adj[u]:
                 if v not in dmap:
                     dmap[v] = depth
                     nxt.append(v)
@@ -346,6 +342,19 @@ def _connected(g: Graph, sub: Iterable[int]) -> bool:
     return not rest
 
 
+def _component_within(g: Graph, v: int, inside: set[int]) -> set[int]:
+    """Vertex set of v's component in the induced subgraph g[inside]."""
+    adj = g.adj
+    seen = {v}
+    stack = [v]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w in inside and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def _component_avoiding(g: Graph, v: int, blocked: frozenset[int]) -> set[int]:
     """Vertex set of v's component in g minus blocked; v is not blocked."""
     adj = g.adj
@@ -357,22 +366,6 @@ def _component_avoiding(g: Graph, v: int, blocked: frozenset[int]) -> set[int]:
                 seen.add(w)
                 stack.append(w)
     return seen
-
-
-def _dists_induced(adj: dict[int, list[int]], v: int) -> dict[int, int]:
-    d = {v: 0}
-    frontier = [v]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in d:
-                    d[w] = depth
-                    nxt.append(w)
-        frontier = nxt
-    return d
 
 
 def _nonempty_vertex_set(g: Graph, sub: Iterable[int], what: str) -> frozenset[int]:
@@ -408,7 +401,7 @@ def _least_eccentricity(g: Graph, sub: Iterable[int], what: str,
         bound, v = heapq.heappop(heap)
         if bound != lb[v] or bound > min(best_ecc, r) or (bound == best_ecc and v > best_v):
             continue
-        dv = _dists_induced(adj, v)
+        dv = _levels(adj, (v,), None)
         if len(dv) != n:
             raise PreconditionError(f"{what} of disconnected set")
         ecc = max(dv.values())

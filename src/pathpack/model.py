@@ -414,15 +414,18 @@ def is_clean(g: Graph, m: FatModel, ell: int) -> bool:
 
 
 def _layered(g: Graph, m: FatModel, ell: int) -> bool:
-    """is_clean of a model the caller has just found simple."""
-    for e in m.pattern.edge_ids():
-        pe = part_vertices(m.branch_parts[e])
-        for x in m.pattern.endpoints(e):
-            dmap = distance_map(g, part_vertices(m.branch_sets[x]), cutoff=ell)
+    """is_clean of a model the caller has just found simple: each branch
+    set is mapped once, to depth ell, for all its incident branch parts."""
+    for x in m.pattern.vertex_ids():
+        edges = m.pattern.incident_edges(x)
+        if not edges:
+            continue
+        dmap = distance_map(g, part_vertices(m.branch_sets[x]), cutoff=ell)
+        for e in edges:
             counts = [0] * (ell + 1)
-            for v in pe:
+            for v in part_vertices(m.branch_parts[e]):
                 dv = dmap.get(v)
-                if dv is not None and dv <= ell:
+                if dv is not None:
                     counts[dv] += 1
             if any(c != 1 for c in counts):
                 return False

@@ -11,20 +11,20 @@ Cost: tripod() runs every round on one mutable copy of the state.  Each
 closeness test has a geodesic of ell+1 vertices on one side, so it is a
 disjointness test against the (ell-1)-ball around that geodesic, which is
 kept per leg and recomputed only for the leg that moved.  A round then
-costs one (ell-1)-ball and one search of depth ell from the moved anchor,
-not time in the size of the tails or of the region, except when removing
-a region endpoint that is not an induced leaf, which recomputes the
-component left behind.
+costs one (ell-1)-ball and one st_path of depth ell from the moved anchor
+into the uncopied region, not time in the size of the tails or of the
+region, except when removing a region endpoint that is not an induced
+leaf, which recomputes the component left behind (graph._component_within).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .errors import InternalInvariantError, PreconditionError, require
-from .graph import (Graph, UNREACHABLE, _connected, ball, dist,
-                    has_radius_at_most, is_path, st_path)
+from .graph import (Graph, UNREACHABLE, _component_within, _connected, ball,
+                    dist, has_radius_at_most, is_path, st_path)
 
 
 class Leg(NamedTuple):
@@ -157,50 +157,6 @@ def init_tripoid(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
     return t
 
 
-def _component_of(g: Graph, c: set[int], start: int, removed: int) -> set[int]:
-    """Component containing start of the region c with removed taken out."""
-    seen = {removed, start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w in c and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    seen.discard(removed)
-    return seen
-
-
-def _short_geodesic(g: Graph, w: int, c: set[int],
-                    ell: int) -> Optional[tuple[int, ...]]:
-    """st_path(g, {w}, c) when that path has length at most ell, else None.
-
-    The same breadth-first order as st_path, cut at depth ell, testing
-    membership in c without copying it.
-    """
-    if w in c:
-        return (w,)
-    adj = g.adj
-    parent = {w: w}
-    frontier = [w]
-    for _ in range(ell):
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v in parent:
-                    continue
-                parent[v] = u
-                if v in c:
-                    path = [v]
-                    while path[-1] != w:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return tuple(path)
-                nxt.append(v)
-        frontier = nxt
-    return None
-
-
 def _result(z: frozenset[int], tail_sets: list[set[int]],
             bs: list[tuple[int, ...]], c: set[int], rest: int) -> TripodResult:
     """Hub z with one connector per tail; the connector of leg rest also
@@ -266,19 +222,20 @@ def _rounds(g: Graph, t: Tripoid,
         require(size >= 3, "working region too small for three distinct endpoints")
         for alpha, beta, gamma in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
             end = cs[alpha]
+            c.discard(end)
             if sum(1 for u in adj[end] if u in c) <= 1:
                 # removing an induced leaf keeps the region connected
-                c.discard(end)
                 break
-            comp = _component_of(g, c, cs[beta], end)
+            comp = _component_within(g, cs[beta], c)
             if cs[gamma] in comp:
                 c = comp
                 break
+            c.add(end)
         else:
             raise InternalInvariantError(
                 "no region endpoint leaves the other two connected")
 
-        b_new = _short_geodesic(g, ws[alpha], c, ell)
+        b_new = st_path(g, (ws[alpha],), c, cutoff=ell)
         require(b_new is None or len(b_new) - 1 >= ell,
                 f"anchor {ws[alpha]} is closer than {ell} to the new region")
         if b_new is None:

@@ -59,6 +59,12 @@ class TestSolve:
         rc = main(["solve", "--graph", gp, "--a-set", ap, "-k", "8", "-d", "1"])
         assert rc == 3
 
+    def test_huge_k_is_refused_at_once(self, tmp_path):
+        gp, ap = write_instance(tmp_path, path_graph(10), frozenset({0, 9}))
+        rc = main(["solve", "--graph", gp, "--a-set", ap, "-k", "99999999999",
+                   "-d", "1"])
+        assert rc == 3
+
     def test_bad_parameters(self, tmp_path):
         gp, ap = write_instance(tmp_path, path_graph(10), frozenset({0, 9}))
         rc = main(["solve", "--graph", gp, "--a-set", ap, "-k", "0", "-d", "1"])
@@ -138,6 +144,34 @@ class TestVerify:
         del doc["coarse_threshold"]
         cert.write_text(json.dumps(doc))
         assert main(["verify", str(cert), "--graph", gp, "--a-set", ap]) == 1
+
+    def verify_forged(self, tmp_path, instance, doc):
+        gp, ap = write_instance(tmp_path, *make_instance(*instance))
+        cert = tmp_path / "forged.json"
+        cert.write_text(json.dumps(doc))
+        return main(["verify", str(cert), "--graph", gp, "--a-set", ap])
+
+    # Each forged certificate below passes the oracle's hitting check with
+    # the radius and threshold it states; only the bound 256^k * d that its
+    # own k and d allow rules it out.
+
+    def test_rejects_threshold_above_the_bound(self, tmp_path):
+        # `solve -k 1 -d 1 --coarse` packs on this instance
+        doc = {"type": "hitting", "k": 1, "d": 1, "coarse": True, "x": [],
+               "radius": 0, "coarse_threshold": 1000000}
+        assert self.verify_forged(tmp_path, ("path", 600), doc) == 1
+
+    def test_rejects_radius_above_the_bound(self, tmp_path):
+        doc = {"type": "hitting", "k": 2, "d": 1, "coarse": False,
+               "x": [0, 200, 400], "radius": 1000000}
+        assert self.verify_forged(tmp_path, ("disjoint_paths", 600), doc) == 1
+
+    def test_rejects_threshold_on_a_plain_certificate(self, tmp_path):
+        # the endpoints 0 and 99 are closer than the threshold, so a coarse
+        # check would ask for nothing to be hit
+        doc = {"type": "hitting", "k": 1, "d": 1, "coarse": False, "x": [],
+               "radius": 0, "coarse_threshold": 256}
+        assert self.verify_forged(tmp_path, ("path", 100), doc) == 1
 
     def test_rejects_unparseable(self, tmp_path):
         gp, ap = write_instance(tmp_path, path_graph(10), frozenset({0, 9}))

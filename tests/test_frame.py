@@ -11,8 +11,10 @@ from pathpack import (
     PatternGraph,
     PreconditionError,
     SolveParams,
+    ball,
     make_instance,
     solve,
+    st_path,
 )
 from pathpack.frame import (
     Frame,
@@ -45,6 +47,17 @@ class TestSolveParams:
             SolveParams(0, 1)
         with pytest.raises(InputError):
             SolveParams(1, 0)
+
+    def test_huge_k_is_refused_before_the_bound_is_built(self):
+        with pytest.raises(ParameterRangeError):
+            SolveParams(k=2 ** 40, d=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"k": True, "d": 1}, {"k": 2, "d": True},
+        {"k": 2, "d": 1, "coarse": "false"}, {"k": 2, "d": 1, "coarse": 1}])
+    def test_rejects_non_boolean_flag_and_boolean_numbers(self, kwargs):
+        with pytest.raises(InputError):
+            SolveParams(**kwargs)
 
     def test_overflow_boundary(self):
         with pytest.raises(ParameterRangeError):
@@ -168,6 +181,29 @@ class TestExtendOrHit:
         iso = [x for x in fr.pattern.vertex_ids() if fr.pattern.degree(x) == 0]
         assert len(iso) == 1
         assert fr.model.branch_sets[iso[0]] == (3, 4, 5)
+
+    def test_new_path_avoids_the_guarded_ball(self):
+        # K2 model on the path 0..20 at frame scale 16 with r=4, so ell=1 and
+        # the guard is the 12-ball around the centers 0 and 20.  A spike
+        # 0, 21..28 and two arms 29..33 and 34..38 give terminals 33 and 38
+        # a geodesic of length 10 through 28, at distance 8 from 0; outside
+        # the guard they are linked only by the long route 39..78.
+        g, m = k2_path_model(21)
+        spike = [0, *range(21, 29)]
+        edges = g.edges() + list(zip(spike, spike[1:]))
+        for arm in ([28, *range(29, 34)], [28, *range(34, 39)],
+                    [33, *range(39, 79), 38]):
+            edges += list(zip(arm, arm[1:]))
+        g = Graph(79, edges)
+        fr = Frame(m, 1, 16, 4, False, frozenset({0, 20, 33, 38}))
+        assert validate_frame(g, fr) == []
+        guard = ball(g, {0, 20}, 12)
+        assert 28 in guard and len(st_path(g, {33}, {38})) - 1 == 10
+        out = extend_or_hit(g, fr)
+        assert isinstance(out, Frame)
+        assert out.i == 2 and out.ell == 1
+        assert out.model.branch_parts[1] == (33, *range(39, 79), 38)
+        assert guard.isdisjoint(out.model.branch_parts[1])
 
     def test_close_pair_in_coarse_mode_hits(self):
         g = Graph(21, chain_edges(21))

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -385,15 +386,19 @@ def grown_set(g: Graph, rng: random.Random, size: int) -> set[int]:
 @given(st.integers(0, 10_000), st.integers(0, 40), st.integers(0, 3))
 def test_connected_matches_components(seed, size, cuts):
     """Grown sets with up to three vertices removed, so both answers occur,
-    down to the empty set."""
+    down to the empty set; the component search within the set finds each
+    component."""
     g = random_graph(seed)
     rng = random.Random(seed)
     sub = grown_set(g, rng, size) if size else set()
     for _ in range(min(cuts, len(sub))):
         sub.discard(rng.choice(sorted(sub)))
-    want = len(components(g, sub)) == 1
+    comps = components(g, sub)
+    want = len(comps) == 1
     assert graph_module._connected(g, sub) == want
     assert graph_module._connected(g, frozenset(sub)) == want
+    for comp in comps:
+        assert graph_module._component_within(g, max(comp), sub) == comp
 
 
 @settings(max_examples=150, deadline=None)
@@ -442,3 +447,56 @@ def test_set_dist_matches_bfs_and_keeps_its_arguments(seed, s, t, cutoff):
     assert dist(g, s, t_set, cutoff=cutoff) == want
     assert dist(g, t_set, s, cutoff=cutoff) == want
     assert s == s_before and t_set == t
+
+
+def queue_st_path(g, s, t, within=None):
+    """st_path as one FIFO queue: sources in ascending id, neighbours in
+    ascending id, stopping at the first target seen."""
+    ss, tt = set(s), set(t)
+    if within is not None:
+        ss &= within
+        tt &= within
+    if not ss or not tt:
+        return None
+    if ss & tt:
+        return (min(ss & tt),)
+    parent = {}
+    seen = set(ss)
+    queue = deque(sorted(ss))
+    while queue:
+        u = queue.popleft()
+        for v in g.adj[u]:
+            if v in seen or (within is not None and v not in within):
+                continue
+            seen.add(v)
+            parent[v] = u
+            if v in tt:
+                path = [v]
+                while path[-1] not in ss:
+                    path.append(parent[path[-1]])
+                return tuple(reversed(path))
+            queue.append(v)
+    return None
+
+
+def test_st_path_matches_a_queue_search():
+    """Same path as the FIFO search, also within a grown region that holds
+    both ends (size 0 means no restriction) and cut at a depth, with the
+    arguments left unchanged."""
+    rng = random.Random(7)
+    for seed in range(150):
+        g = random_graph(seed)
+        for size in (0, 6, 12, 24):
+            within = frozenset(grown_set(g, rng, size)) if size else None
+            ends = sorted(within) if within else range(g.n)
+            s = set(rng.sample(ends, min(len(ends), rng.randint(1, 3))))
+            t = frozenset(rng.sample(ends, min(len(ends), rng.randint(1, 6))))
+            full = queue_st_path(g, s, t, within)
+            for cutoff in (None, 0, 2, 4):
+                want = full
+                if want is not None and cutoff is not None and len(want) - 1 > cutoff:
+                    want = None
+                s_before, t_set = set(s), set(t)
+                assert st_path(g, s, t, cutoff=cutoff, within=within) == want
+                assert st_path(g, sorted(s), t_set, cutoff=cutoff, within=within) == want
+                assert s == s_before and t_set == t

@@ -1,8 +1,11 @@
-"""Source checks: every module keeps every invariant under python -O.
+"""Source checks: every module keeps every invariant under python -O, and
+host-graph searches live in graph.py.
 
 A bare assert and an `if __debug__:` block both vanish when Python runs
 with -O, so an invariant kept that way silently stops being checked.  An
-invariant is tested one way, through errors.require.
+invariant is tested one way, through errors.require.  A module that walks
+the host's adjacency lists itself keeps a private copy of a search that
+graph.py already has; only the verifiers in oracle.py keep their own.
 """
 
 import ast
@@ -68,3 +71,38 @@ def test_require_detector_sees_an_if_raise():
               "try:\n    f()\nexcept PreconditionError as exc:\n"
               "    raise InternalInvariantError('y') from exc\n")
     assert unrequired_checks(source) == ["line 1: if-raise"]
+
+
+def host_adjacency_readers(source: str) -> list[str]:
+    """Top-level functions and methods of the given source that read g.adj,
+    the host graph's adjacency lists, each named once."""
+    out = []
+    for top in ast.parse(source).body:
+        defs = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in defs:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "adj"
+                   and isinstance(sub.value, ast.Name) and sub.value.id == "g"
+                   for sub in ast.walk(node)):
+                out.append(node.name)
+    return out
+
+
+# tripod._rounds counts a region endpoint's neighbors and picks one; that
+# is no search
+HOST_ADJACENCY_READERS = {"tripod": ["_rounds"]}
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES
+                                    if m not in ("graph", "oracle")])
+def test_host_searches_live_in_graph(module):
+    assert (host_adjacency_readers((SRC / f"{module}.py").read_text())
+            == HOST_ADJACENCY_READERS.get(module, []))
+
+
+def test_adjacency_detector_names_the_reading_functions():
+    source = ("def f(g):\n    return g.adj[0]\n"
+              "def h(tree):\n    return tree.adj\n"
+              "class C:\n    def m(self, g):\n        adj = g.adj\n")
+    assert host_adjacency_readers(source) == ["f", "m"]
