@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Exit codes: 0 success (solve: packing found), 10 solve found a hitting
-set, 1 verification or precondition failure, 2 malformed input, 3
-parameters out of the supported numeric range, 4 an internal invariant
-failed (a bug in pathpack, never a user error).
+set, 1 verification or precondition failure, 2 malformed input (also a
+file that is not UTF-8), 3 parameters out of the supported numeric range
+(k at most 7; a graph header may announce at most graph.MAX_VERTICES =
+10^7 vertices), 4 an internal invariant failed (a bug in pathpack, never
+a user error).
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ travel as JSON documents with a fixed key order.
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import InputError
 from .frame import (Certificate, HittingCertificate, PackingCertificate,
@@ -33,7 +34,28 @@ def _ints(tokens: list[str], where: str) -> list[int]:
         raise InputError(f"{where}: expected integers, got {tokens!r}") from exc
 
 
+# The text graph_to_text writes: lines of two ASCII-digit tokens joined by
+# one space, each ended by "\n".  A token of at most 18 digits always
+# converts with int(), which refuses more than sys.get_int_max_str_digits();
+# a longer one goes to the line parser, which reports it.
+_CANONICAL_GRAPH = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)+")
+
+
 def graph_from_text(text: str) -> Graph:
+    """Parse a graph file.  Text in the canonical form whose edge count
+    matches its header is read in one pass; any other text goes through the
+    line parser, which names the bad line when there is one."""
+    if _CANONICAL_GRAPH.fullmatch(text):
+        tokens = text.split()
+        if len(tokens) == 2 * int(tokens[1]) + 2:
+            it = map(int, tokens)
+            n = next(it)
+            next(it)
+            return Graph(n, zip(it, it))
+    return _graph_from_lines(text)
+
+
+def _graph_from_lines(text: str) -> Graph:
     lines = _data_lines(text)
     if not lines:
         raise InputError("graph file is empty")
@@ -60,6 +82,19 @@ def graph_to_text(g: Graph) -> str:
 
 
 def vertex_set_from_text(text: str) -> frozenset[int]:
+    """Parse a vertex-set file: one pass when the text has no comment, the
+    line parser when it has one or when a token is not an integer."""
+    if "#" not in text:
+        try:
+            # a set copied into a frozenset is sized exactly; a frozenset
+            # built from the map would keep the slack of its growth
+            return frozenset(set(map(int, text.split())))
+        except ValueError:
+            pass
+    return _vertex_set_from_lines(text)
+
+
+def _vertex_set_from_lines(text: str) -> frozenset[int]:
     out: set[int] = set()
     for line in _data_lines(text):
         out.update(_ints(line.split(), "vertex set"))
@@ -70,9 +105,19 @@ def vertex_set_to_text(vs: frozenset[int]) -> str:
     return " ".join(str(v) for v in sorted(vs)) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """The file's text, decoded as UTF-8 with universal newlines."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path} is not UTF-8 text (invalid byte at offset {exc.start})"
+        ) from exc
+
+
 def read_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as f:
-        return graph_from_text(f.read())
+    return graph_from_text(_read_text(path))
 
 
 def write_graph(g: Graph, path: str) -> None:
@@ -81,8 +126,7 @@ def write_graph(g: Graph, path: str) -> None:
 
 
 def read_vertex_set(path: str) -> frozenset[int]:
-    with open(path, encoding="utf-8") as f:
-        return vertex_set_from_text(f.read())
+    return vertex_set_from_text(_read_text(path))
 
 
 def write_vertex_set(vs: frozenset[int], path: str) -> None:
@@ -113,7 +157,8 @@ def certificate_to_json(cert: Certificate, params: SolveParams) -> str:
 def certificate_from_json(text: str) -> tuple[SolveParams, Certificate]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or a number longer than int() may convert
         raise InputError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("certificate must be a JSON object")
@@ -125,7 +170,7 @@ def certificate_from_json(text: str) -> tuple[SolveParams, Certificate]:
     if kind == "packing":
         paths = doc.get("paths")
         if not isinstance(paths, list) or not all(
-                isinstance(p, list) and all(isinstance(v, int) for v in p)
+                isinstance(p, list) and all(type(v) is int for v in p)
                 for p in paths):
             raise InputError("packing certificate needs integer path lists")
         cert: Certificate = PackingCertificate(
@@ -134,12 +179,12 @@ def certificate_from_json(text: str) -> tuple[SolveParams, Certificate]:
     elif kind == "hitting":
         xs = doc.get("x")
         radius = doc.get("radius")
-        if not isinstance(xs, list) or not all(isinstance(v, int) for v in xs):
+        if not isinstance(xs, list) or not all(type(v) is int for v in xs):
             raise InputError("hitting certificate needs an integer vertex list")
-        if not isinstance(radius, int):
+        if type(radius) is not int:
             raise InputError("hitting certificate needs an integer radius")
         thr = doc.get("coarse_threshold")
-        if thr is not None and not isinstance(thr, int):
+        if thr is not None and type(thr) is not int:
             raise InputError("coarse_threshold must be an integer")
         cert = HittingCertificate(x=frozenset(xs), radius=radius,
                                   coarse_threshold=thr)
@@ -149,8 +194,7 @@ def certificate_from_json(text: str) -> tuple[SolveParams, Certificate]:
 
 
 def read_certificate(path: str) -> tuple[SolveParams, Certificate]:
-    with open(path, encoding="utf-8") as f:
-        return certificate_from_json(f.read())
+    return certificate_from_json(_read_text(path))
 
 
 def write_certificate(cert: Certificate, params: SolveParams, path: str) -> None:
@@ -216,8 +260,7 @@ def model_from_text(text: str) -> FatModel:
 
 
 def read_model(path: str) -> FatModel:
-    with open(path, encoding="utf-8") as f:
-        return model_from_text(f.read())
+    return model_from_text(_read_text(path))
 
 
 def write_model(m: FatModel, path: str) -> None:

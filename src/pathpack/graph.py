@@ -12,10 +12,15 @@ from itertools import count, repeat
 from math import inf
 from typing import Iterable, Optional
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, ParameterRangeError, PreconditionError
 
 # Distance value used for "no path": compares greater than every int.
 UNREACHABLE = inf
+
+# Largest vertex count a Graph accepts, checked before the adjacency lists
+# are allocated, so that a huge header fails at once and not after
+# exhausting memory.
+MAX_VERTICES = 10**7
 
 
 class Graph:
@@ -26,6 +31,9 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
+        if n > MAX_VERTICES:
+            raise ParameterRangeError(
+                f"vertex count {n} exceeds the limit {MAX_VERTICES}")
         self.n = n
         adj: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()

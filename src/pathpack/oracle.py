@@ -51,6 +51,10 @@ def packing_violations(g: Graph, a: frozenset[int],
     if len(paths) < k:
         out.append(f"only {len(paths)} paths, need {k}")
     for idx, p in enumerate(paths):
+        if p and (min(p) < 0 or max(p) >= g.n):
+            out.append(f"path {idx} has a vertex outside the graph")
+            return out
+    for idx, p in enumerate(paths):
         if len(p) < 2:
             out.append(f"path {idx} has fewer than two vertices")
             continue

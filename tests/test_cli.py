@@ -85,6 +85,30 @@ class TestSolve:
                    "-k", "1", "-d", "1"])
         assert rc == 2
 
+    def test_graph_that_is_not_utf8(self, tmp_path, capsys):
+        gp, ap = write_instance(tmp_path, path_graph(10), frozenset({0, 9}))
+        with open(gp, "ab") as f:
+            f.write(b"# \xff\n")
+        rc = main(["solve", "--graph", gp, "--a-set", ap, "-k", "1", "-d", "1"])
+        assert rc == 2
+        assert "in.graph is not UTF-8 text (invalid byte at offset 43)" in (
+            capsys.readouterr().err)
+
+    def test_terminal_set_that_is_not_utf8(self, tmp_path):
+        gp, ap = write_instance(tmp_path, path_graph(10), frozenset({0, 9}))
+        with open(ap, "wb") as f:
+            f.write(b"0 \xc3 9\n")
+        rc = main(["solve", "--graph", gp, "--a-set", ap, "-k", "1", "-d", "1"])
+        assert rc == 2
+
+    def test_huge_vertex_count_is_refused_at_once(self, tmp_path, capsys):
+        gp, ap = write_instance(tmp_path, path_graph(10), frozenset({0, 9}))
+        with open(gp, "w") as f:
+            f.write("999999999999 0\n")
+        rc = main(["solve", "--graph", gp, "--a-set", ap, "-k", "1", "-d", "1"])
+        assert rc == 3
+        assert "exceeds the limit 10000000" in capsys.readouterr().err
+
     def test_internal_error_exit_four(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise InternalInvariantError("branch-set centers collide")
@@ -172,6 +196,26 @@ class TestVerify:
         doc = {"type": "hitting", "k": 1, "d": 1, "coarse": False, "x": [],
                "radius": 0, "coarse_threshold": 256}
         assert self.verify_forged(tmp_path, ("path", 100), doc) == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"type": "packing", "k": 1, "d": 1, "coarse": False,
+         "paths": [[False, True, 2, 3, 4, 5, 6, 7, 8, 9]]},
+        {"type": "hitting", "k": 1, "d": 1, "coarse": False, "x": [],
+         "radius": True}])
+    def test_rejects_booleans_as_integers(self, tmp_path, doc):
+        assert self.verify_forged(tmp_path, ("path", 10), doc) == 2
+
+    @pytest.mark.parametrize("bad", [100000000000, -1])
+    def test_rejects_a_path_vertex_outside_the_graph(self, tmp_path, bad):
+        doc = {"type": "packing", "k": 1, "d": 1, "coarse": False,
+               "paths": [[bad, 9]]}
+        assert self.verify_forged(tmp_path, ("path", 10), doc) == 1
+
+    def test_certificate_that_is_not_utf8(self, tmp_path):
+        gp, ap, cert = self.solve_to_file(tmp_path)
+        with open(cert, "ab") as f:
+            f.write(b"\xff")
+        assert main(["verify", cert, "--graph", gp, "--a-set", ap]) == 2
 
     def test_rejects_unparseable(self, tmp_path):
         gp, ap = write_instance(tmp_path, path_graph(10), frozenset({0, 9}))

@@ -1,16 +1,23 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 
 from helpers import p3_path_model
 from pathpack import (
+    Graph,
     HittingCertificate,
     InputError,
     PackingCertificate,
     ParameterRangeError,
     SolveParams,
+    SolverError,
+    fileio,
 )
 from pathpack.fileio import (
+    _graph_from_lines,
+    _vertex_set_from_lines,
     certificate_from_json,
     certificate_to_json,
     graph_from_text,
@@ -19,11 +26,14 @@ from pathpack.fileio import (
     model_to_text,
     read_certificate,
     read_graph,
+    read_model,
+    read_vertex_set,
     vertex_set_from_text,
     vertex_set_to_text,
     write_certificate,
     write_graph,
 )
+from pathpack.graph import MAX_VERTICES
 
 
 class TestGraphText:
@@ -73,6 +83,130 @@ class TestGraphText:
         p = tmp_path / "g.graph"
         write_graph(g, str(p))
         assert read_graph(str(p)).edges() == [(0, 1)]
+
+    @pytest.mark.parametrize("text", [
+        "10000001 0\n", "# comment\n10000001 0\n", "999999999999 1\n0 1\n"])
+    def test_vertex_count_above_the_limit_is_refused_at_once(self, text):
+        assert MAX_VERTICES == 10**7
+        with pytest.raises(ParameterRangeError, match="exceeds the limit"):
+            graph_from_text(text)
+
+    def test_a_crlf_file_reads_like_its_lf_form(self, tmp_path):
+        p = tmp_path / "g.graph"
+        p.write_bytes(b"3 2\r\n0 1\r\n1 2\r\n")
+        assert read_graph(str(p)).edges() == [(0, 1), (1, 2)]
+
+
+def outcome(parse, text):
+    """What a parser makes of text: its result, or its error's class and
+    message."""
+    try:
+        return parse(text)
+    except SolverError as exc:
+        return type(exc), str(exc)
+
+
+def seeded_graph(seed: int) -> Graph:
+    rng = random.Random(seed)
+    n = rng.randrange(2, 40)
+    p = rng.uniform(0.05, 0.4)
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def graph_variants(g: Graph) -> list[tuple[str, bool]]:
+    """Texts derived from g's canonical text, each with whether it is still
+    in the form graph_to_text writes, with an edge count that matches."""
+    text = graph_to_text(g)
+    lines = text.splitlines()
+    n, m = g.n, g.edge_count
+    body = lines[1:]
+
+    def with_edges(extra: list[str], count: int) -> str:
+        return "\n".join([f"{n} {count}", *body, *extra]) + "\n"
+
+    out = [
+        (text, True),
+        (text[:-1], False),
+        (text.replace("\n", "\r\n"), False),
+        (text.replace(" ", "\t"), False),
+        (text.replace(" ", "  "), False),
+        (text.replace("\n", "\n\n"), False),
+        ("# instance\n" + text.replace("\n", " # note\n", 1), False),
+        (with_edges([], m + 1), False),
+        (with_edges([], m - 1), False),
+        (with_edges([f"{n} 0"], m + 1), True),
+        (with_edges(["1 1"], m + 1), True),
+        (with_edges([f"{n - 1} -1"], m + 1), False),
+        (f"{MAX_VERTICES + 1} {m}\n" + text.split("\n", 1)[1], True),
+        (with_edges(["0 " + "1" * 5000], m + 1), False),
+        ("", False),
+        ("# nothing\n", False),
+    ]
+    if body:
+        u, v = body[0].split()
+        out.append((with_edges([f"{v} {u}"], m + 1), True))
+        for token in ("+3", "007", "1_0", "\u0662", "x"):
+            out.append(("\n".join([lines[0], f"{token} {v}", *body[1:]]) + "\n",
+                        token == "007"))
+    if len(body) >= 2:
+        # the token count still matches, the line shape does not
+        (a, b), (c, d) = body[0].split(), body[1].split()
+        out.append(("\n".join([lines[0], f"{a} {b} {c}", d, *body[2:]]) + "\n",
+                    False))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_one_pass_graph_parse_matches_the_line_parser(seed, monkeypatch):
+    g = seeded_graph(seed)
+    fallbacks = []
+
+    def line_parser(text):
+        fallbacks.append(text)
+        return _graph_from_lines(text)
+
+    monkeypatch.setattr(fileio, "_graph_from_lines", line_parser)
+    for text, canonical in graph_variants(g):
+        fallbacks.clear()
+        got = outcome(graph_from_text, text)
+        want = outcome(_graph_from_lines, text)
+        if isinstance(want, Graph):
+            assert isinstance(got, Graph), (text, got)
+            assert (got.n, got.adj) == (want.n, want.adj), text
+        else:
+            assert got == want, text
+        # the one-pass parse takes exactly the canonical texts
+        assert bool(fallbacks) is not canonical, text
+
+
+def vertex_set_variants(vs: frozenset[int]) -> list[str]:
+    text = vertex_set_to_text(vs)
+    out = [text, text[:-1], text.replace("\n", "\r\n"),
+           text.replace(" ", "\t"), text.replace(" ", "  \n\n"),
+           "# terminals\n" + text, text.replace(" ", " # rest\n", 1),
+           "", "\n", "-1\n", "1 " + "1" * 5000 + "\n"]
+    out += [text.replace(" ", f" {token} ", 1)
+            for token in ("+3", "007", "1_0", "\u0662", "x", "3.0")]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_one_pass_vertex_set_parse_matches_the_line_parser(seed):
+    rng = random.Random(seed)
+    vs = frozenset(rng.sample(range(60), rng.randrange(0, 12)))
+    for text in vertex_set_variants(vs):
+        assert (outcome(vertex_set_from_text, text)
+                == outcome(_vertex_set_from_lines, text)), text
+
+
+@pytest.mark.parametrize("reader", [read_graph, read_vertex_set, read_model,
+                                    read_certificate])
+def test_a_file_that_is_not_utf8_is_an_input_error(reader, tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"3 2\n0 1\n1 2 # caf\xc3\xa9 \xff\n")
+    with pytest.raises(InputError, match=r"bad\.txt is not UTF-8 text "
+                       r"\(invalid byte at offset 20\)"):
+        reader(str(p))
 
 
 class TestVertexSetText:
@@ -125,6 +259,10 @@ class TestCertificateJson:
         with pytest.raises(InputError):
             certificate_from_json("not json")
 
+    def test_number_too_long_to_convert(self):
+        with pytest.raises(InputError, match="not valid JSON"):
+            certificate_from_json('{"k": ' + "1" * 5000 + "}")
+
     def test_not_an_object(self):
         with pytest.raises(InputError):
             certificate_from_json("[1, 2]")
@@ -164,6 +302,17 @@ class TestCertificateJson:
         with pytest.raises(InputError):
             certificate_from_json(
                 '{"type": "hitting", ' + fields + ', "x": [], "radius": 5}')
+
+    @pytest.mark.parametrize("fields", [
+        '"type": "packing", "paths": [[false, true, 2]]',
+        '"type": "packing", "paths": [[0, 1], [true, 2]]',
+        '"type": "hitting", "x": [true], "radius": 5',
+        '"type": "hitting", "x": [], "radius": true',
+        '"type": "hitting", "x": [], "radius": 5, "coarse_threshold": false'])
+    def test_booleans_are_not_integers(self, fields):
+        with pytest.raises(InputError):
+            certificate_from_json(
+                '{"k": 1, "d": 1, "coarse": false, ' + fields + '}')
 
     def test_file_round_trip(self, tmp_path):
         params = SolveParams(1, 2)

@@ -72,6 +72,12 @@ class TestPackingViolations:
         out = packing_violations(g, frozenset({0, 2}), [(0, 2)], 1, 1)
         assert any("not a path" in v for v in out)
 
+    @pytest.mark.parametrize("path", [(100000000000, 1), (1, 2, -1)])
+    def test_vertex_outside_the_graph_is_a_violation(self, path):
+        g = path_graph(10)
+        out = packing_violations(g, frozenset({0, 9}), [(0, 1), path], 2, 1)
+        assert out == ["path 1 has a vertex outside the graph"]
+
     def test_endpoint_outside_terminals(self):
         g = path_graph(10)
         out = packing_violations(g, frozenset({0}), [(0, 1, 2)], 1, 1)
