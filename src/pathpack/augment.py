@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import InternalInvariantError, PreconditionError, require
 from .graph import (Graph, UNREACHABLE, ball, dist, distance_map,
                     has_radius_at_most, is_path, st_path)
-from .model import (FatModel, PatternGraph, _fatness, fatness, is_clean,
+from .model import (FatModel, Part, PatternGraph, _fatness, fatness, is_clean,
                     part_vertices, validate_model)
 from .tripod import tripod
 
@@ -162,31 +162,20 @@ def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
     parts2 = dict(m.branch_parts)
     del parts2[yz]
 
+    pendant: Optional[Part] = None
     if not stubs_close:
-        near = dist(g, {a}, {w}, cutoff=2 * ell - 1) is not UNREACHABLE
-        if near:
+        mid = frozenset(w_y) | frozenset(w_z)
+        if dist(g, {a}, {w}, cutoff=2 * ell - 1) is not UNREACHABLE:
             # fold the approach into the subdivision vertex
             link = st_path(g, {a}, {w})
             require(link is not None, "no path from a to the end of p")
-            mid = frozenset(w_y) | frozenset(w_z) | frozenset(link)
-            sets2[h] = mid
-            parts2[e_y] = path_q_y
-            parts2[e_z] = path_q_z
-            result = AugmentResult(attached=False, pattern=pattern2,
-                                   model=FatModel(pattern2, sets2, parts2),
-                                   sub_vertex=h)
+            mid |= frozenset(link)
         else:
             # hang a on a pendant vertex, linked by p itself
-            h2, e_p = pattern2.add_leaf(h)
-            mid = frozenset(w_y) | frozenset(w_z)
-            sets2[h] = mid
-            sets2[h2] = frozenset({a})
-            parts2[e_y] = path_q_y
-            parts2[e_z] = path_q_z
-            parts2[e_p] = p
-            result = AugmentResult(attached=True, pattern=pattern2,
-                                   model=FatModel(pattern2, sets2, parts2),
-                                   sub_vertex=h, pendant_vertex=h2)
+            pendant = p
+        sets2[h] = mid
+        parts2[e_y] = path_q_y
+        parts2[e_z] = path_q_z
     else:
         # the two stubs nearly meet: rebuild the junction around them
         link = st_path(g, set_q_y, set_q_z)
@@ -212,15 +201,19 @@ def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
         except PreconditionError as exc:
             raise InternalInvariantError(
                 f"junction hypotheses failed inside augment: {exc}") from exc
-        h2, e_p = pattern2.add_leaf(h)
         sets2[h] = junction.z
-        sets2[h2] = frozenset({a})
         parts2[e_y] = junction.p[0]
         parts2[e_z] = junction.p[1]
-        parts2[e_p] = junction.p[2] | frozenset(p)
-        result = AugmentResult(attached=True, pattern=pattern2,
-                               model=FatModel(pattern2, sets2, parts2),
-                               sub_vertex=h, pendant_vertex=h2)
+        pendant = junction.p[2] | frozenset(p)
+
+    h2 = None
+    if pendant is not None:
+        h2, e_p = pattern2.add_leaf(h)
+        sets2[h2] = frozenset({a})
+        parts2[e_p] = pendant
+    result = AugmentResult(attached=h2 is not None, pattern=pattern2,
+                           model=FatModel(pattern2, sets2, parts2),
+                           sub_vertex=h, pendant_vertex=h2)
 
     out = result.model
     require(has_radius_at_most(g, out.branch_sets[result.sub_vertex], 4 * ell),

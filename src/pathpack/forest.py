@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, require
+from .graph import _levels
 from .model import PatternGraph
 
 
@@ -97,22 +98,6 @@ class _Tree:
         self.chains[frozenset((u, w))] = (u, walk[1:-1])
 
 
-def _bfs_order(adj: dict[int, set[int]], root: int) -> dict[int, int]:
-    depth = {root: 0}
-    frontier = [root]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in sorted(adj[u]):
-                if v not in depth:
-                    depth[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return depth
-
-
 def _tree_paths(tree: _Tree, z: set[int]) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     while True:
@@ -152,7 +137,7 @@ def _tree_paths(tree: _Tree, z: set[int]) -> list[tuple[int, ...]]:
 
         # all leaves hang on branching vertices; split at the deepest one
         root = min(verts)
-        depth = _bfs_order(verts, root)
+        depth = _levels(verts, (root,), None)
         branch = [v for v, dg in degs.items() if dg == 3]
         require(bool(branch), "no branching vertex in unfinished tree")
         u = min(branch, key=lambda v: (-depth[v], v))

@@ -10,7 +10,7 @@ successful rounds the frame is unwound into k far-apart terminal paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .augment import _augment
@@ -236,38 +236,32 @@ def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
                 break
         require(target is not None,
                 "path vertex near the branch paths is near none of them")
-        grown = _augment(g, clean, a1, target, trimmed, ell)
-        new_frame = replace(fr, model=grown.model, i=fr.i + 1, ell=ell)
+        model = _augment(g, clean, a1, target, trimmed, ell).model
     else:
         close_pair = dist(g, {a1}, {a2}, cutoff=ell - 1) is not UNREACHABLE
-        if not close_pair:
-            # far pair, far from the model: open a new two-vertex component
-            pattern2 = clean.pattern.copy()
-            h1, h2, e = pattern2.add_k2()
-            sets2 = dict(clean.branch_sets)
-            parts2 = dict(clean.branch_parts)
-            sets2[h1] = frozenset({a1})
-            sets2[h2] = frozenset({a2})
-            parts2[e] = path
-            new_frame = replace(fr, model=FatModel(pattern2, sets2, parts2),
-                                i=fr.i + 1, ell=ell)
-        elif fr.coarse:
+        if close_pair and fr.coarse:
             # every avoiding terminal pair is close, so no ell-coarse
             # terminal path avoids the guarded region
             return HitSet(x=hit)
+        pattern2 = clean.pattern.copy()
+        sets2 = dict(clean.branch_sets)
+        parts2 = dict(clean.branch_parts)
+        if not close_pair:
+            # far pair, far from the model: open a new two-vertex component
+            h1, h2, e = pattern2.add_k2()
+            sets2[h1] = frozenset({a1})
+            sets2[h2] = frozenset({a2})
+            parts2[e] = path
         else:
             # close pair: store its connecting geodesic as a finished path
             link = st_path(g, {a1}, {a2})
             require(link is not None and len(link) - 1 < ell,
                     f"close terminal pair has no geodesic shorter than {ell}")
-            pattern2 = clean.pattern.copy()
-            h = pattern2.add_vertex()
-            sets2 = dict(clean.branch_sets)
-            sets2[h] = link
-            new_frame = replace(fr, model=FatModel(pattern2, sets2,
-                                                   dict(clean.branch_parts)),
-                                i=fr.i + 1, ell=ell)
+            sets2[pattern2.add_vertex()] = link
+        model = FatModel(pattern2, sets2, parts2)
 
+    new_frame = Frame(model=model, i=fr.i + 1, ell=ell, r=fr.r,
+                      coarse=fr.coarse, a_set=fr.a_set)
     bad = validate_frame(g, new_frame)
     require(not bad, "extension produced an invalid frame: " + "; ".join(bad))
     return new_frame

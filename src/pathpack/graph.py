@@ -334,33 +334,28 @@ def components(g: Graph, sub: Iterable[int]) -> list[frozenset[int]]:
     return out
 
 
+def _take_component(adj, v: int, rest: set[int]) -> list[int]:
+    """Remove from rest every vertex that v reaches through rest, and return
+    them, v first; v itself need not be in rest.  adj maps a vertex to its
+    neighbours: the host's adj lists, or a pattern's."""
+    rest.discard(v)
+    out = [v]
+    for u in out:
+        for w in adj[u]:
+            if w in rest:
+                rest.remove(w)
+                out.append(w)
+    return out
+
+
 def _connected(g: Graph, sub: Iterable[int]) -> bool:
     """len(components(g, sub)) == 1 in one search: True iff g[sub] is
     nonempty and connected."""
     rest = set(sub)
     if not rest:
         return False
-    adj = g.adj
-    stack = [rest.pop()]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v in rest:
-                rest.remove(v)
-                stack.append(v)
+    _take_component(g.adj, rest.pop(), rest)
     return not rest
-
-
-def _component_within(g: Graph, v: int, inside: set[int]) -> set[int]:
-    """Vertex set of v's component in the induced subgraph g[inside]."""
-    adj = g.adj
-    seen = {v}
-    stack = [v]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w in inside and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def _component_avoiding(g: Graph, v: int, blocked: frozenset[int]) -> set[int]:

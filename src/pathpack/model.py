@@ -14,8 +14,8 @@ from math import floor, inf
 from typing import Iterable, Optional, Union
 
 from .errors import InputError, PreconditionError, require
-from .graph import (Graph, UNREACHABLE, _connected, ball, dist, distance_map,
-                    is_path, st_path)
+from .graph import (Graph, UNREACHABLE, _connected, _take_component, ball, dist,
+                    distance_map, is_path, st_path)
 
 # A branch part: ordered path (tuple) or unordered connected set (frozenset).
 Part = Union[tuple, frozenset]
@@ -56,19 +56,8 @@ class PatternGraph:
         for eid in sorted(edges):
             if not (isinstance(eid, int) and eid >= 0):
                 raise InputError(f"edge ids must be nonnegative, got {eid!r}")
-            u, v = edges[eid]
-            if u not in out._adj or v not in out._adj:
-                raise InputError(f"edge endpoints {u},{v} must exist")
-            if u == v:
-                raise InputError("loops not allowed in pattern graphs")
-            if v in out._adj[u]:
-                raise InputError(f"parallel edge {u},{v} not allowed")
-            if max(len(out._adj[u]), len(out._adj[v])) >= cls.MAX_DEGREE:
-                raise PreconditionError(f"edge {u},{v} would exceed degree 3")
-            out._edges[eid] = (u, v)
-            out._adj[u][v] = eid
-            out._adj[v][u] = eid
-        out._next_edge = max(out._edges, default=-1) + 1
+            out._next_edge = eid
+            out.add_edge(*edges[eid])
         return out
 
     # -- queries ---------------------------------------------------------
@@ -110,23 +99,9 @@ class PatternGraph:
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by least vertex id."""
-        remaining = set(self._adj)
-        out = []
-        for start in sorted(remaining):
-            if start not in remaining:
-                continue
-            comp = {start}
-            remaining.discard(start)
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if w in remaining:
-                        remaining.discard(w)
-                        comp.add(w)
-                        stack.append(w)
-            out.append(frozenset(comp))
-        return out
+        rest = set(self._adj)
+        return [frozenset(_take_component(self._adj, v, rest))
+                for v in sorted(rest) if v in rest]
 
     # -- mutations -------------------------------------------------------
 
@@ -252,16 +227,10 @@ def _check_keys(m: FatModel) -> None:
 
 def _incident(m: FatModel, a: tuple[str, int], b: tuple[str, int]) -> bool:
     """Vertex-edge incidence or edge-edge adjacency in the pattern."""
-    (ka, ia), (kb, ib) = a, b
-    if ka == kb == "v":
-        return False
-    if ka == "v":
-        return m.pattern.is_incident(ia, ib)
-    if kb == "v":
-        return m.pattern.is_incident(ib, ia)
-    ua, va = m.pattern.endpoints(ia)
-    ub, vb = m.pattern.endpoints(ib)
-    return len({ua, va} & {ub, vb}) > 0
+    if a[0] == b[0] == "e":
+        return not set(m.pattern.endpoints(a[1])).isdisjoint(
+            m.pattern.endpoints(b[1]))
+    return _exempt(m, a, b)
 
 
 def validate_model(g: Graph, m: FatModel) -> list[str]:

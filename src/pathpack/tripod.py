@@ -14,7 +14,7 @@ kept per leg and recomputed only for the leg that moved.  A round then
 costs one (ell-1)-ball and one st_path of depth ell from the moved anchor
 into the uncopied region, not time in the size of the tails or of the
 region, except when removing a region endpoint that is not an induced
-leaf, which recomputes the component left behind (graph._component_within).
+leaf, which searches the region left behind once (graph._take_component).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .errors import InternalInvariantError, PreconditionError, require
-from .graph import (Graph, UNREACHABLE, _component_within, _connected, ball,
+from .graph import (Graph, UNREACHABLE, _connected, _take_component, ball,
                     dist, has_radius_at_most, is_path, st_path)
 
 
@@ -226,9 +226,11 @@ def _rounds(g: Graph, t: Tripoid,
             if sum(1 for u in adj[end] if u in c) <= 1:
                 # removing an induced leaf keeps the region connected
                 break
-            comp = _component_within(g, cs[beta], c)
-            if cs[gamma] in comp:
-                c = comp
+            # keep c_beta's component, if it holds c_gamma too
+            cut = set(c)
+            _take_component(adj, cs[beta], cut)
+            if cs[gamma] not in cut:
+                c -= cut
                 break
             c.add(end)
         else:

@@ -386,8 +386,8 @@ def grown_set(g: Graph, rng: random.Random, size: int) -> set[int]:
 @given(st.integers(0, 10_000), st.integers(0, 40), st.integers(0, 3))
 def test_connected_matches_components(seed, size, cuts):
     """Grown sets with up to three vertices removed, so both answers occur,
-    down to the empty set; the component search within the set finds each
-    component."""
+    down to the empty set; the component search within the set takes each
+    component, its start first, and removes exactly it from the set."""
     g = random_graph(seed)
     rng = random.Random(seed)
     sub = grown_set(g, rng, size) if size else set()
@@ -398,7 +398,11 @@ def test_connected_matches_components(seed, size, cuts):
     assert graph_module._connected(g, sub) == want
     assert graph_module._connected(g, frozenset(sub)) == want
     for comp in comps:
-        assert graph_module._component_within(g, max(comp), sub) == comp
+        rest = set(sub)
+        taken = graph_module._take_component(g.adj, max(comp), rest)
+        assert taken[0] == max(comp)
+        assert len(taken) == len(comp) and set(taken) == comp
+        assert rest == sub - comp
 
 
 @settings(max_examples=150, deadline=None)

@@ -99,6 +99,20 @@ class TestPatternGraph:
         with pytest.raises(InputError):
             PatternGraph.from_parts([-1], {})
 
+    def test_from_parts_checks_edges_like_add_edge(self):
+        with pytest.raises(InputError):
+            PatternGraph.from_parts([0], {0: (0, 0)})
+        with pytest.raises(InputError):
+            PatternGraph.from_parts([0, 1], {0: (0, 1), 1: (1, 0)})
+        with pytest.raises(PreconditionError):
+            PatternGraph.from_parts(range(5), {i: (0, i) for i in range(1, 5)})
+        # gapped edge ids are kept, and fresh ones continue above them
+        p = PatternGraph.from_parts([0, 1, 2], {2: (0, 1), 7: (1, 2)})
+        assert p.edge_ids() == [2, 7]
+        assert p.endpoints(2) == (0, 1) and p.endpoints(7) == (1, 2)
+        assert p.edge_between(1, 2) == 7
+        assert p.add_edge(0, 2) == 8
+
     def test_copy_is_independent(self):
         p = PatternGraph()
         p.add_k2()
