@@ -15,8 +15,8 @@ from typing import Optional
 from .errors import InternalInvariantError, PreconditionError, require
 from .graph import (Graph, UNREACHABLE, ball, dist, distance_map,
                     has_radius_at_most, is_path, st_path)
-from .model import (FatModel, Part, PatternGraph, _fatness, fatness, is_clean,
-                    part_vertices, validate_model)
+from .model import (FatModel, Part, PatternGraph, _layered, _require_fat,
+                    _simplicity_violations, fatness, part_vertices)
 from .tripod import tripod
 
 
@@ -48,10 +48,10 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
             ell: int) -> AugmentResult:
     """Extend a clean model by absorbing the approach path p.
 
-    Preconditions: m is 8*ell-fat and 4*ell-clean, p runs from a to the
-    4*ell-ball around the branch path of yz with no earlier vertex inside
-    that ball, p keeps distance at least 8*ell from every branch set and at
-    least 4*ell from every other branch path.
+    Preconditions, all checked here: m is 8*ell-fat and 4*ell-clean, p
+    runs from a to the 4*ell-ball around the branch path of yz with no
+    earlier vertex inside that ball, p keeps distance at least 8*ell from
+    every branch set and at least 4*ell from every other branch path.
 
     The output model is ell-fat, its new mid branch set has radius at most
     4*ell, and every element other than yz keeps its old branch part.
@@ -72,38 +72,18 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
     if measured < 8 * ell:
         raise PreconditionError(
             f"augment needs an {8 * ell}-fat model, measured fatness {measured}")
-    if not is_clean(g, m, 4 * ell):
+    # fatness has validated m, so simplicity and layers are all that is left
+    if _simplicity_violations(m) or not _layered(g, m, 4 * ell):
         raise PreconditionError(f"augment needs a {4 * ell}-clean model")
-    result = _augment(g, m, a, yz, p, ell)
-    bad = validate_model(g, result.model)
-    require(not bad, "augment output invalid: " + "; ".join(bad))
-    post = _fatness(g, result.model)
-    require(post >= ell, f"augment output fatness {post} below {ell}")
-    return result
 
-
-def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
-             ell: int) -> AugmentResult:
-    """augment of a model the caller has found 8*ell-fat and 4*ell-clean,
-    along a path p from a whose shape the caller has checked.
-
-    Checks only the output facts of this step: the mid branch set has
-    radius at most 4*ell and every other branch set and part is unchanged.
-    Whether the output is a valid ell-fat model is left to the caller.
-    """
-    myz: tuple[int, ...] = m.branch_parts[yz]
-    yz_set = frozenset(myz)
-    approach_ball = ball(g, yz_set, 4 * ell)
-    w = p[-1]
-    if w not in approach_ball:
+    approach_ball = ball(g, m.branch_parts[yz], 4 * ell)
+    if p[-1] not in approach_ball:
         raise PreconditionError("p does not end inside the approach ball")
     early = [v for v in p[:-1] if v in approach_ball]
     if early:
         raise PreconditionError(
             f"p enters the approach ball early at vertex {early[0]}")
-
-    all_sets = m.vertex_union()
-    if dist(g, p, all_sets, cutoff=8 * ell - 1) is not UNREACHABLE:
+    if dist(g, p, m.vertex_union(), cutoff=8 * ell - 1) is not UNREACHABLE:
         raise PreconditionError(
             f"p comes closer than {8 * ell} to a branch set")
     other_parts: set[int] = set()
@@ -114,6 +94,24 @@ def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
         raise PreconditionError(
             f"p comes closer than {4 * ell} to another branch path")
 
+    result = _augment(g, m, a, yz, p, ell)
+    _require_fat(g, result.model, ell, "augment output")
+    return result
+
+
+def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
+             ell: int) -> AugmentResult:
+    """augment of a model the caller has found 8*ell-fat and 4*ell-clean,
+    along a path p from a whose shape the caller has checked: augment()
+    checks it for a public caller, and a solver round builds p to have it,
+    so this runs no search on p.
+
+    Checks only the output facts of this step: the mid branch set has
+    radius at most 4*ell and every other branch set and part is unchanged.
+    Whether the output is a valid ell-fat model is left to the caller.
+    """
+    myz: tuple[int, ...] = m.branch_parts[yz]
+    w = p[-1]
     y, z = m.pattern.endpoints(yz)
     set_y = part_vertices(m.branch_sets[y])
     set_z = part_vertices(m.branch_sets[z])

@@ -42,7 +42,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = fileio.read_graph(args.graph)
-    a = g.check_vertex_set(fileio.read_vertex_set(args.a_set))
+    a = fileio.read_vertex_set(args.a_set)
     params = SolveParams(k=args.k, d=args.d, coarse=args.coarse)
     cert = solve(g, a, params, validate=args.validate)
     _emit(fileio.certificate_to_json(cert, params), args.out)

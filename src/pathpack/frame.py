@@ -210,7 +210,8 @@ def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
             break
     if first is None:
         return HitSet(x=hit)
-    if pair is None:
+    close_pair = pair is None  # no candidate holds a pair ell apart
+    if close_pair:
         comp, averts = first
         pair = (averts[0], averts[1])
 
@@ -238,7 +239,6 @@ def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
                 "path vertex near the branch paths is near none of them")
         model = _augment(g, clean, a1, target, trimmed, ell).model
     else:
-        close_pair = dist(g, {a1}, {a2}, cutoff=ell - 1) is not UNREACHABLE
         if close_pair and fr.coarse:
             # every avoiding terminal pair is close, so no ell-coarse
             # terminal path avoids the guarded region
@@ -363,9 +363,14 @@ def certificate_violations(g: Graph, a: frozenset[int], params: SolveParams,
     A hitting certificate states its own ball radius and, in coarse mode,
     its threshold; neither may exceed the bound 256^k * d that params
     allows, a coarse certificate must state a threshold and a plain one
-    must not.  The rest is decided by the oracle module's verifiers.
+    must not.  A packing certificate holds at most k paths, which is
+    checked before any search.  The rest is decided by the oracle module's
+    verifiers.
     """
     if isinstance(cert, PackingCertificate):
+        if len(cert.paths) > params.k:
+            return [f"packing certificate holds {len(cert.paths)} paths, "
+                    f"more than k={params.k}"]
         return packing_violations(g, a, cert.paths, params.k, params.d,
                                   params.coarse)
     out: list[str] = []

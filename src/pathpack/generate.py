@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import InputError
-from .graph import Graph
+from .errors import InputError, ParameterRangeError
+from .graph import MAX_VERTICES, Graph
 
 FAMILIES = ("path", "cycle", "spider", "disjoint_paths", "grid", "random")
 A_POLICIES = ("endpoints", "all", "random_p")
@@ -19,7 +19,9 @@ def make_instance(family: str, n: int, seed: int = 0,
     """Deterministic (graph, terminal set) instance.
 
     n is a size target; structured families round it to their natural
-    shape (spider legs of equal length, square grid side).
+    shape (spider legs of equal length, square grid side).  No family
+    builds more than n vertices, so n above graph.MAX_VERTICES is refused
+    before any edge is built.
     """
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}, expected one of {FAMILIES}")
@@ -28,6 +30,9 @@ def make_instance(family: str, n: int, seed: int = 0,
                          f"expected one of {A_POLICIES}")
     if n < 1:
         raise InputError(f"size must be positive, got {n}")
+    if n > MAX_VERTICES:
+        raise ParameterRangeError(
+            f"size {n} exceeds the vertex limit {MAX_VERTICES}")
     rng = random.Random(seed)
 
     if family == "path":

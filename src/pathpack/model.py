@@ -337,6 +337,14 @@ def _fatness(g: Graph, m: FatModel) -> int | float:
     return best
 
 
+def _require_fat(g: Graph, m: FatModel, q: int, what: str) -> None:
+    """Output check of a model a step has built: valid and q-fat."""
+    bad = validate_model(g, m)
+    require(not bad, f"{what} invalid: " + "; ".join(bad))
+    post = _fatness(g, m)
+    require(post >= q, f"{what} fatness {post} below {q}")
+
+
 def is_simple(g: Graph, m: FatModel) -> list[str]:
     """Violations of simplicity: every branch part must be a path from the
     branch set of one endpoint to the branch set of the other, internally
@@ -445,16 +453,11 @@ def _fat_to_clean(g: Graph, m: FatModel, q: int, ell: int) -> FatModel:
             raise PreconditionError(
                 f"attachment geodesics of edge {e} have lengths "
                 f"{len(west) - 1},{len(east) - 1}, expected {ell}")
-        path = west + middle[1:] + tuple(reversed(east))[1:]
-        if not is_path(g, path):
-            raise PreconditionError(
-                f"rerouted branch part of edge {e} is not a path")
-        new_parts[e] = path
+        # the ell-balls of a (q + 2*ell)-fat model's sets are disjoint and
+        # the middle's inner vertices lie outside both, so this is a path
+        new_parts[e] = west + middle[1:] + tuple(reversed(east))[1:]
     out = FatModel(m.pattern, dict(m.branch_sets), new_parts)
-    bad = validate_model(g, out)
-    require(not bad, "fat_to_clean output invalid: " + "; ".join(bad))
-    post = _fatness(g, out)
-    require(post >= q, f"fat_to_clean output fatness {post} < {q}")
+    _require_fat(g, out, q, "fat_to_clean output")
     require(not _simplicity_violations(out) and _layered(g, out, ell),
             "fat_to_clean output is not clean")
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError, PreconditionError, require
 from .graph import Graph, ball, dist, has_radius_at_most, st_path
-from .model import FatModel, _fatness, part_vertices, validate_model
+from .model import FatModel, _require_fat, fatness, part_vertices
 from .tripod import tripod
 
 
@@ -23,10 +23,7 @@ def make_topological(g: Graph, m: FatModel, ell: int) -> FatModel:
     """
     if ell < 1:
         raise PreconditionError(f"scale must be positive, got {ell}")
-    bad = validate_model(g, m)
-    if bad:
-        raise PreconditionError(f"invalid model: {bad[0]}")
-    fat = _fatness(g, m)
+    fat = fatness(g, m)
     if fat < 7 * ell:
         raise PreconditionError(f"model fatness {fat} below 7*ell={7 * ell}")
 
@@ -94,9 +91,7 @@ def make_topological(g: Graph, m: FatModel, ell: int) -> FatModel:
         parts2[e] = legs[(e, u)] | frozenset(middles[e]) | legs[(e, v)]
 
     out = FatModel(pattern, sets2, parts2)
-    bad = validate_model(g, out)
-    require(not bad, "compressed model invalid: " + "; ".join(bad))
-    require(_fatness(g, out) >= ell, "compressed model lost its fatness")
+    _require_fat(g, out, ell, "compressed model")
     limit = (3 * ell) // 2
     for x in pattern.vertex_ids():
         require(has_radius_at_most(g, sets2[x], limit),

@@ -130,26 +130,24 @@ def init_tripoid(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
         raise PreconditionError("q must be nonempty")
     if not _connected(g, q):
         raise PreconditionError("q must be connected")
-    for i, v in enumerate(vs):
-        dv = dist(g, {v}, q)
+    legs = []
+    for v in vs:
+        s = st_path(g, {v}, q)
+        dv = UNREACHABLE if s is None else len(s) - 1
         if dv < ell:
             raise PreconditionError(
                 f"tip {v} is at distance {dv} < ell={ell} from q")
         if dv > d:
             raise PreconditionError(
                 f"tip {v} is at distance {dv} > d={d} from q")
+        cut = dv - ell
+        legs.append(Leg(r=s[:cut + 1], w=s[cut], b=s[cut:]))
     for i in range(3):
         for j in range(i + 1, 3):
             dij = dist(g, {vs[i]}, {vs[j]}, cutoff=2 * d - 1)
             if dij is not UNREACHABLE:
                 raise PreconditionError(
                     f"tips {vs[i]} and {vs[j]} are at distance {dij} < 2*d={2 * d}")
-    legs = []
-    for v in vs:
-        s = st_path(g, {v}, q)
-        require(s is not None, f"no path from tip {v} to q")
-        cut = len(s) - 1 - ell
-        legs.append(Leg(r=s[:cut + 1], w=s[cut], b=s[cut:]))
     t = Tripoid(c=q, xi=0, legs=(legs[0], legs[1], legs[2]),
                 q=q, vs=tuple(vs), ell=ell, d=d)
     bad = check_tripoid(g, t)
@@ -275,7 +273,7 @@ def check_tripod_result(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
     out: list[str] = []
     if not _connected(g, res.z):
         out.append("hub is not connected")
-    if not has_radius_at_most(g, res.z, (3 * ell) // 2):
+    elif not has_radius_at_most(g, res.z, (3 * ell) // 2):
         out.append(f"hub radius exceeds {(3 * ell) // 2}")
     if not res.z <= ball(g, q, 2 * ell - 1):
         out.append(f"hub leaves the ({2 * ell - 1})-ball around q")

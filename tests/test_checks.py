@@ -56,6 +56,23 @@ def test_spider_round_runs_no_whole_graph_search(monkeypatch):
     assert counts["distance_map"] <= 12
 
 
+def test_round_decides_each_fact_once(monkeypatch):
+    """The close-pair verdict comes from the candidates' far-pair search,
+    an absorbing round runs no search on its approach path before augment
+    builds, and a tripod tip gets its distance and its leg from one
+    search: 42 dist and 1,209 ball calls on this spider solve, and no dist
+    on a path whose terminals are all close."""
+    counts = count_calls(monkeypatch, graph.dist, graph.ball)
+    g, a = make_instance("spider", 5000)
+    solve(g, a, SolveParams(2, 1))
+    assert counts["dist"] <= 42
+    assert counts["ball"] <= 1209
+    counts.clear()
+    g, a = make_instance("path", 40, a_policy="all")
+    solve(g, a, SolveParams(2, 1))
+    assert counts["dist"] == 0
+
+
 BROKEN_CLEANNESS = """
 import pathpack.model as model
 from helpers import k2_path_model

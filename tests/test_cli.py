@@ -8,6 +8,8 @@ import pathpack.cli
 from helpers import k2_path_model, path_graph
 from pathpack import InternalInvariantError, fileio, make_instance
 from pathpack.cli import main
+from pathpack.generate import FAMILIES
+from pathpack.graph import MAX_VERTICES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -211,6 +213,12 @@ class TestVerify:
                "paths": [[bad, 9]]}
         assert self.verify_forged(tmp_path, ("path", 10), doc) == 1
 
+    def test_rejects_more_than_k_paths_before_any_search(self, tmp_path, capsys):
+        doc = {"type": "packing", "k": 1, "d": 1, "coarse": False,
+               "paths": [[0, 1]] * 100000}
+        assert self.verify_forged(tmp_path, ("path", 10), doc) == 1
+        assert "holds 100000 paths, more than k=1" in capsys.readouterr().err
+
     def test_certificate_that_is_not_utf8(self, tmp_path):
         gp, ap, cert = self.solve_to_file(tmp_path)
         with open(cert, "ab") as f:
@@ -261,6 +269,17 @@ class TestGen:
         g, a = make_instance("random", 50, seed=9, a_policy="random_p")
         assert fileio.read_graph(prefix + ".graph").edges() == g.edges()
         assert fileio.read_vertex_set(prefix + ".aset") == a
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 100000000000])
+    def test_size_above_the_vertex_limit_is_refused_at_once(
+            self, tmp_path, capsys, family, n):
+        prefix = tmp_path / "big"
+        rc = main(["gen", "--family", family, "--n", str(n),
+                   "--out", str(prefix)])
+        assert rc == 3
+        assert f"exceeds the vertex limit {MAX_VERTICES}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_family_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

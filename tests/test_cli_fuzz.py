@@ -4,11 +4,12 @@ manner of McKeeman's differential testing (Digital Tech. J., 1998).
 Valid instance files (a graph, its terminal set, and the certificate a
 solve writes for them) are mutated at the byte level: truncated, bytes
 flipped, lines duplicated, a number replaced with a huge, negative or
-over-long one or with the JSON boolean equal to it, non-UTF-8 bytes
-inserted.  `solve -k 1 -d 1` and
-`verify` then run on the files through cli.main.  Every run must end in a
-documented exit code with no exception escaping, and verify may accept a
-certificate only when each of its vertex ids is a JSON integer.  The
+over-long one or with the JSON boolean equal to it (in a model file,
+one time in two, a branch-set id goes out of range), non-UTF-8 bytes
+inserted.  `solve -k 1 -d 1` and `verify` then run on the files through
+cli.main.  Every run must end in a documented exit code with no exception
+escaping, and verify may accept a certificate only when each of its vertex
+ids is a JSON integer.  The
 single-step commands get the same treatment: `clean` and `topo` on a
 mutated graph and model pair, `tripod` on a mutated graph and q-set
 pair."""
@@ -31,6 +32,8 @@ BASES = [("path", 2, "endpoints", 1), ("cycle", 4, "endpoints", 1),
          ("disjoint_paths", 30, "endpoints", 2)]
 EXIT_CODES = {0, 1, 2, 3, 10}
 NUMBER = re.compile(rb"-?[0-9]+")
+# the ids on a model file's vertex lines, which a uniform pick rarely hits
+BRANCH_SET = re.compile(rb"^vertex [^\n]*?(?:set|path):([^\n]*)", re.M)
 # numbers out of range, and one longer than int() converts
 REPLACEMENTS = (b"999999999999", b"%d" % (MAX_VERTICES + 1), b"-1", b"1" * 5000)
 # a JSON boolean equals the integer it replaces
@@ -85,10 +88,16 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
                      "number", "utf8"))
     numbers = list(NUMBER.finditer(data))
     if op == "number" and numbers:
-        # the first number of a graph file is its vertex count
-        t = numbers[0] if rng.random() < 0.25 else rng.choice(numbers)
-        new = BOOLEANS.get(t.group()) if rng.random() < 0.5 else None
-        new = new or rng.choice(REPLACEMENTS)
+        ids = [t for line in BRANCH_SET.finditer(data)
+               for t in NUMBER.finditer(data, line.start(1), line.end(1))]
+        if ids and rng.random() < 0.5:
+            # a branch-set id goes out of range, not to a boolean
+            t, new = rng.choice(ids), rng.choice(REPLACEMENTS)
+        else:
+            # the first number of a graph file is its vertex count
+            t = numbers[0] if rng.random() < 0.25 else rng.choice(numbers)
+            new = BOOLEANS.get(t.group()) if rng.random() < 0.5 else None
+            new = new or rng.choice(REPLACEMENTS)
         return data[:t.start()] + new + data[t.end():]
     if op == "truncate":
         return data[:rng.randrange(len(data) + 1)]

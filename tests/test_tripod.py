@@ -213,10 +213,26 @@ class TestPreconditions:
         with pytest.raises(PreconditionError):
             init_tripoid(g, (3, 13, 25), q, ell, d)
 
+    def test_tip_that_cannot_reach_the_core(self):
+        g, vs, q, ell, d = spider_instance()
+        g = Graph(106, g.edges())
+        with pytest.raises(PreconditionError, match="distance inf > d"):
+            init_tripoid(g, (5, 15, 105), q, ell, d)
+
     def test_driver_propagates(self):
         g, vs, q, ell, d = spider_instance()
         with pytest.raises(PreconditionError):
             tripod(g, vs, q, 0, d)
+
+
+@pytest.mark.parametrize("hub", [frozenset(), frozenset({0, 20})])
+def test_bad_hub_is_reported_not_raised(hub):
+    # an empty or disconnected hub has no radius, so none is checked
+    g, vs, q, ell, d = spider_instance()
+    good = tripod(g, vs, q, ell, d)
+    out = check_tripod_result(g, vs, q, ell, d, TripodResult(z=hub, p=good.p))
+    assert "hub is not connected" in out
+    assert not any("radius" in msg for msg in out)
 
 
 def test_long_slide_iteration_count():
