@@ -19,7 +19,7 @@ from .forest import _leaf_bound, degree_classes, extract_z_paths
 from .graph import (Graph, UNREACHABLE, _component_avoiding, ball, dist,
                     distance_map, has_radius_at_most, least_far_pair,
                     radius_center, st_path)
-from .model import (FatModel, PatternGraph, _fat_to_clean, _fatness, fat_to_clean,
+from .model import (FatModel, PatternGraph, _fat_to_clean, _fatness,
                     part_vertices, validate_model)
 from .oracle import hitting_violations, packing_violations
 
@@ -168,13 +168,31 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, HitSet]:
         raise PreconditionError(f"frame scale {fr.ell} too small to step down")
     if fr.r < 4 * ell:
         raise PreconditionError(f"radius budget {fr.r} below 4*ell={4 * ell}")
-    return _round(g, fr, fat_to_clean(g, fr.model, 8 * ell, 4 * ell))
+    _require_valid(g, fr)
+    # a valid frame's model is fr.ell = (8*ell + 2*4*ell)-fat, all that
+    # fat_to_clean asks of its input
+    return _round(g, fr, _fat_to_clean(g, fr.model, 8 * ell, 4 * ell))
+
+
+def _require_valid(g: Graph, fr: Frame) -> None:
+    """Entry check of a public step: fr's terminals are vertices of g, as
+    solve checks them, and fr satisfies the frame conditions."""
+    g.check_vertex_set(fr.a_set)
+    bad = validate_frame(g, fr)
+    if bad:
+        raise PreconditionError(f"invalid frame: {bad[0]}")
 
 
 def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
     """extend_or_hit of a frame on the solver's schedule, given its model
     made clean by fat_to_clean, whose output check is also all that augment
     needs of its input.  The new frame is checked once, by validate_frame.
+
+    Searches whose answer the sizes already fix are skipped: a candidate
+    of at most ell vertices has no pair ell apart, and neither has any
+    candidate once at most ell unsearched vertices are left.  With no
+    guard a candidate is a whole component, so a close pair's path is
+    already its geodesic in the host.
     """
     ell = fr.ell // 16
 
@@ -192,20 +210,27 @@ def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
     # more terminals, taken in ascending order of their least terminal; a
     # component without terminals is never searched.  The first candidate
     # with a far pair gives it, else the least two terminals of the first.
+    # Two vertices of a connected set C are at most |C| - 1 apart, so a
+    # candidate of at most ell vertices holds no far pair, and once the
+    # unsearched vertices number at most ell no later candidate does.
     pair = None
     first = None
     placed: set[int] = set()
+    left = g.n - len(guard)
     for a in sorted(fr.a_set - guard):
         if a in placed:
             continue
+        if first is not None and left <= ell:
+            break
         comp = _component_avoiding(g, a, guard)
+        left -= len(comp)
         averts = sorted(fr.a_set & comp)
         placed.update(averts)
         if len(averts) < 2:
             continue
         if first is None:
             first = (comp, averts)
-        pair = least_far_pair(g, averts, ell)
+        pair = least_far_pair(g, averts, ell) if len(comp) > ell else None
         if pair is not None:
             break
     if first is None:
@@ -253,8 +278,9 @@ def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
             sets2[h2] = frozenset({a2})
             parts2[e] = path
         else:
-            # close pair: store its connecting geodesic as a finished path
-            link = st_path(g, {a1}, {a2})
+            # close pair: store its connecting geodesic as a finished path;
+            # with no guard, comp is a whole component and path is it
+            link = st_path(g, {a1}, {a2}) if guard else path
             require(link is not None and len(link) - 1 < ell,
                     f"close terminal pair has no geodesic shorter than {ell}")
             sets2[pattern2.add_vertex()] = link
@@ -270,17 +296,20 @@ def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
 def frame_to_packing(g: Graph, fr: Frame) -> list[tuple[int, ...]]:
     """Unwind a frame with odd counter i = 2t-1 into at least t terminal
     paths, pairwise at distance at least fr.ell."""
+    _require_valid(g, fr)
+    return _frame_to_packing(g, fr)
+
+
+def _frame_to_packing(g: Graph, fr: Frame) -> list[tuple[int, ...]]:
+    """frame_to_packing of a frame that validate_frame has accepted, so
+    each isolated vertex carries its terminal path and every other branch
+    set a terminal."""
     if fr.i % 2 != 1:
         raise PreconditionError(f"counter must be odd to unwind, got {fr.i}")
     t = (fr.i + 1) // 2
     dc = degree_classes(fr.pattern)
-    finished: list[tuple[int, ...]] = []
-    for x in sorted(dc.v0):
-        raw = fr.model.branch_sets[x]
-        if not isinstance(raw, tuple):
-            raise PreconditionError(
-                f"isolated vertex {x} does not carry an ordered terminal path")
-        finished.append(raw)
+    finished: list[tuple[int, ...]] = [fr.model.branch_sets[x]
+                                       for x in sorted(dc.v0)]
 
     trimmed = fr.pattern.copy()
     for x in sorted(dc.v0):
@@ -320,7 +349,11 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     terminal path.
 
     Every round checks each model it builds once, whatever the flags and
-    also under python -O: the cleaned model and the new frame.
+    also under python -O: the cleaned model and the new frame.  A model
+    without edges is cleaned without a check, since cleaning leaves it as
+    the last round's check (or the empty start) found it; a round skips
+    the far-pair searches that the sizes of its components decide.
+    The final frame is unwound without a second validate_frame.
     validate=True adds two checks: every frame's counter and scale are
     compared with the schedule, and the final certificate is verified
     independently by the oracle module.
@@ -345,7 +378,7 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
             break
         fr = out
     else:
-        paths = frame_to_packing(g, fr)
+        paths = _frame_to_packing(g, fr)
         paths.sort(key=lambda p: (min(p), p))
         cert = PackingCertificate(paths=tuple(paths[:k]), d=params.d,
                                   coarse=params.coarse)

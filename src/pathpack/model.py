@@ -431,7 +431,12 @@ def _fat_to_clean(g: Graph, m: FatModel, q: int, ell: int) -> FatModel:
 
     Checks its output once: valid, q-fat and ell-clean, which is also all
     that augment needs of its input when q = 8*ell' and ell = 4*ell'.
+    An edgeless model comes back with its branch sets and no check: nothing
+    is rerouted, so the output is the input, which the caller has found
+    valid and at least q-fat, and it is simple and clean with no edges.
     """
+    if not m.pattern.n_edges:
+        return FatModel(m.pattern, dict(m.branch_sets), {})
     new_parts: dict[int, Part] = {}
     for e in m.pattern.edge_ids():
         u, v = m.pattern.endpoints(e)

@@ -33,13 +33,14 @@ def count_calls(monkeypatch, *fns) -> Counter:
 
 @pytest.mark.parametrize("validate", [False, True])
 def test_spider_round_checks_each_model_once(monkeypatch, validate):
-    """The solve builds five models: three cleaned ones and two new
-    frames.  _fatness is the measurement that fatness runs once per call."""
+    """The solve checks four models: two cleaned ones and two new frames;
+    round 0 cleans the empty model, which fat_to_clean leaves as it is.
+    _fatness is the measurement that fatness runs once per call."""
     g, a = make_instance("spider", 5000)
     counts = count_calls(monkeypatch, model._fatness, model.validate_model)
     solve(g, a, SolveParams(2, 1), validate=validate)
-    assert counts["_fatness"] <= 5
-    assert counts["validate_model"] <= 5
+    assert counts["_fatness"] <= 4
+    assert counts["validate_model"] <= 4
 
 
 def test_spider_round_runs_no_whole_graph_search(monkeypatch):
@@ -71,6 +72,27 @@ def test_round_decides_each_fact_once(monkeypatch):
     g, a = make_instance("path", 40, a_policy="all")
     solve(g, a, SolveParams(2, 1))
     assert counts["dist"] == 0
+
+
+def test_round_skips_the_searches_its_sizes_decide(monkeypatch):
+    """A candidate of at most ell vertices gets no far-pair search, the
+    candidate loop stops once at most ell unsearched vertices are left, an
+    unguarded close pair keeps its path as its geodesic, and an edgeless
+    model is cleaned without a check."""
+    counts = count_calls(monkeypatch, graph.least_far_pair,
+                         graph._component_avoiding, graph.st_path,
+                         model.validate_model)
+    g, a = make_instance("random", 160, seed=1, a_policy="all")
+    solve(g, a, SolveParams(3, 1))
+    assert counts["least_far_pair"] <= 1
+    assert counts["_component_avoiding"] <= 24
+    assert counts["validate_model"] <= 5
+    counts.clear()
+    g, a = make_instance("path", 40, a_policy="all")
+    solve(g, a, SolveParams(2, 1))
+    assert counts["least_far_pair"] == 0
+    assert counts["st_path"] == 1
+    assert counts["validate_model"] == 1
 
 
 BROKEN_CLEANNESS = """

@@ -205,6 +205,72 @@ class TestExtendOrHit:
         assert out.model.branch_parts[1] == (33, *range(39, 79), 38)
         assert guard.isdisjoint(out.model.branch_parts[1])
 
+    # A connected set of s vertices has no two vertices s or more apart, so
+    # the round skips the far-pair search of a candidate of at most ell
+    # vertices, and stops once at most ell unsearched vertices are left.
+    # At frame scale 256 the round's ell is 16 and its guard is empty.
+
+    def test_candidate_of_ell_plus_one_vertices_opens_a_k2(self):
+        g = path_graph(17)
+        out = extend_or_hit(g, empty_frame(frozenset({0, 16}), 256, 64, False))
+        assert out.model.branch_sets == {0: frozenset({0}), 1: frozenset({16})}
+        assert out.model.branch_parts == {0: tuple(range(17))}
+
+    def test_candidate_of_ell_vertices_stores_a_close_pair(self):
+        g = path_graph(16)
+        out = extend_or_hit(g, empty_frame(frozenset({0, 15}), 256, 64, False))
+        assert out.model.branch_sets == {0: tuple(range(16))}
+        assert out.model.branch_parts == {}
+
+    def test_far_pair_after_a_small_first_candidate(self):
+        # the 3-vertex first candidate leaves exactly ell + 1 vertices
+        g = Graph(20, chain_edges(3) + chain_edges(17, 3))
+        out = extend_or_hit(g, empty_frame(frozenset({0, 2, 3, 19}), 256, 64,
+                                           False))
+        assert out.model.branch_sets == {0: frozenset({3}), 1: frozenset({19})}
+        assert out.model.branch_parts == {0: tuple(range(3, 20))}
+
+    def test_guarded_close_pair_stores_its_host_geodesic(self):
+        # K2 frame on the path 0..256 at scale 256 with r=64: ell=16 and the
+        # guard is the 192-ball around 0 and 256.  A spike of 190 edges
+        # from 0 ends at w=446; terminals 451 and 456 hang 5 edges off w,
+        # just outside the guard, and a detour of 14 edges joins them
+        # outside it.  Their stored path is the host geodesic through w.
+        spike = [0, *range(257, 447)]
+        arms = [[446, *range(447, 452)], [446, *range(452, 457)],
+                [451, *range(457, 470), 456]]
+        edges = chain_edges(257)
+        for line in (spike, *arms):
+            edges += list(zip(line, line[1:]))
+        g = Graph(470, edges)
+        pat = PatternGraph.from_parts([0, 1], {0: (0, 1)})
+        m = FatModel(pat, {0: frozenset({0}), 1: frozenset({256})},
+                     {0: tuple(range(257))})
+        fr = Frame(m, 1, 256, 64, False, frozenset({0, 256, 451, 456}))
+        out = extend_or_hit(g, fr)
+        assert out.model.branch_sets[2] == (*range(451, 445, -1),
+                                            *range(452, 457))
+
+    def test_terminal_outside_the_graph_is_an_input_error(self):
+        fr = empty_frame(frozenset({0, 99}), 16, 4, False)
+        with pytest.raises(InputError, match="vertex 99 out of range"):
+            extend_or_hit(path_graph(10), fr)
+
+    def test_wrong_counter_is_a_precondition(self):
+        g, m = k2_path_model(50)
+        fr = Frame(m, 5, 16, 4, False, frozenset({0, 49}))
+        with pytest.raises(PreconditionError, match="invalid frame: counter"):
+            extend_or_hit(g, fr)
+
+    def test_branch_set_above_the_radius_budget_is_a_precondition(self):
+        g = path_graph(1000)
+        pat = PatternGraph.from_parts([0, 1], {0: (0, 1)})
+        m = FatModel(pat, {0: frozenset(range(301)), 1: frozenset({999})},
+                     {0: tuple(range(300, 1000))})
+        fr = Frame(m, 1, 16, 64, False, frozenset({0, 999}))
+        with pytest.raises(PreconditionError, match="radius above 64"):
+            extend_or_hit(g, fr)
+
     def test_close_pair_in_coarse_mode_hits(self):
         g = Graph(21, chain_edges(21))
         a = frozenset({3, 5})
@@ -226,6 +292,12 @@ class TestFrameToPacking:
         m = FatModel(pat, {0: (3, 4, 5)}, {})
         fr = Frame(m, 1, 1, 5, False, frozenset({3, 5}))
         assert frame_to_packing(g, fr) == [(3, 4, 5)]
+
+    def test_branch_sets_without_terminals_are_a_precondition(self):
+        g, m = k2_path_model(50)
+        fr = Frame(m, 1, 1, 25, False, frozenset())
+        with pytest.raises(PreconditionError, match="carries no terminal"):
+            frame_to_packing(g, fr)
 
 
 def permuted_absorb_instance():

@@ -1,5 +1,6 @@
-"""Source checks: every module keeps every invariant under python -O, and
-host-graph searches live in graph.py.
+"""Source checks: every module keeps every invariant under python -O,
+host-graph searches live in graph.py, and the solver calls no public step
+that checks its input.
 
 A bare assert and an `if __debug__:` block both vanish when Python runs
 with -O, so an invariant kept that way silently stops being checked.  An
@@ -106,3 +107,39 @@ def test_adjacency_detector_names_the_reading_functions():
               "def h(tree):\n    return tree.adj\n"
               "class C:\n    def m(self, g):\n        adj = g.adj\n")
     assert host_adjacency_readers(source) == ["f", "m"]
+
+
+# The public steps check their input before they run; the solver has built
+# and checked each of those inputs itself, so it calls the private bodies.
+CHECKED_STEPS = {"extend_or_hit", "frame_to_packing", "fat_to_clean",
+                 "augment", "fatness", "is_clean"}
+
+
+def checked_step_calls(source: str, functions: set[str]) -> list[str]:
+    """Line-tagged calls of the input-checking public steps inside the
+    named top-level functions of the given source."""
+    out = []
+    for top in ast.parse(source).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name in functions):
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name in CHECKED_STEPS:
+                out.append(f"line {node.lineno}: {name}")
+    return out
+
+
+def test_solver_path_calls_no_checked_step():
+    source = (SRC / "frame.py").read_text()
+    assert checked_step_calls(source, {"solve", "_round"}) == []
+
+
+def test_checked_step_detector_sees_plain_and_module_calls():
+    source = ("def solve(g):\n    return fat_to_clean(g)\n"
+              "def _round(g):\n    model.augment(g)\n    _augment(g)\n"
+              "def other(g):\n    is_clean(g)\n")
+    assert checked_step_calls(source, {"solve", "_round"}) == [
+        "line 2: fat_to_clean", "line 4: augment"]
