@@ -46,13 +46,24 @@ def graph_from_text(text: str) -> Graph:
     matches its header is read in one pass; any other text goes through the
     line parser, which names the bad line when there is one."""
     if _CANONICAL_GRAPH.fullmatch(text):
-        tokens = text.split()
-        if len(tokens) == 2 * int(tokens[1]) + 2:
-            it = map(int, tokens)
-            n = next(it)
-            next(it)
-            return Graph(n, zip(it, it))
+        ids = _canonical_ids(text)
+        if len(ids) == 2 * ids[1] + 2:
+            n = ids[0]
+            del ids[:2]
+            return Graph.from_flat(n, ids)
     return _graph_from_lines(text)
+
+
+def _canonical_ids(text: str) -> list[int]:
+    """The ids of a text that _CANONICAL_GRAPH matches, in order.  JSON's
+    number scanner converts them about twice as fast as int() over split
+    tokens and keeps no token list; it refuses a leading zero, which int()
+    reads."""
+    try:
+        return json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",")
+                          + "]")
+    except ValueError:
+        return list(map(int, text.split()))
 
 
 def _graph_from_lines(text: str) -> Graph:

@@ -19,7 +19,7 @@ from .forest import _leaf_bound, degree_classes, extract_z_paths
 from .graph import (Graph, UNREACHABLE, _component_avoiding, ball, dist,
                     distance_map, has_radius_at_most, least_far_pair,
                     radius_center, st_path)
-from .model import (FatModel, PatternGraph, _fat_to_clean, _fatness,
+from .model import (FatModel, Part, PatternGraph, _fat_to_clean, _fatness,
                     part_vertices, validate_model)
 from .oracle import hitting_violations, packing_violations
 
@@ -133,7 +133,9 @@ def validate_frame(g: Graph, fr: Frame) -> list[str]:
         out.append(f"model fatness {fat} below the frame scale {fr.ell}")
     for x in fr.pattern.vertex_ids():
         vs = part_vertices(fr.model.branch_sets[x])
-        if not has_radius_at_most(g, vs, fr.r):
+        # validate_model has found vs connected, and a connected set of s
+        # vertices has radius at most s - 1
+        if fr.r < len(vs) - 1 and not has_radius_at_most(g, vs, fr.r):
             out.append(f"branch set of vertex {x} has radius above {fr.r}")
     for x in sorted(dc.v1 | dc.v2):
         vs = part_vertices(fr.model.branch_sets[x])
@@ -171,7 +173,7 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, HitSet]:
     _require_valid(g, fr)
     # a valid frame's model is fr.ell = (8*ell + 2*4*ell)-fat, all that
     # fat_to_clean asks of its input
-    return _round(g, fr, _fat_to_clean(g, fr.model, 8 * ell, 4 * ell))
+    return _round(g, fr, _fat_to_clean(g, fr.model, 8 * ell, 4 * ell), {})
 
 
 def _require_valid(g: Graph, fr: Frame) -> None:
@@ -183,10 +185,17 @@ def _require_valid(g: Graph, fr: Frame) -> None:
         raise PreconditionError(f"invalid frame: {bad[0]}")
 
 
-def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
+def _round(g: Graph, fr: Frame, clean: FatModel,
+           measured: dict[int, tuple[Part, int, int]]) -> Union[Frame, HitSet]:
     """extend_or_hit of a frame on the solver's schedule, given its model
     made clean by fat_to_clean, whose output check is also all that augment
     needs of its input.  The new frame is checked once, by validate_frame.
+
+    measured maps a pattern vertex to (branch set, center, radius) from
+    the rounds before; a branch set that is the same object is not measured
+    again, and the round adds the sets it measures.  fat_to_clean and
+    augment keep every old branch set as it was, and ids are never reused,
+    so a solve measures each set once.
 
     Searches whose answer the sizes already fix are skipped: a candidate
     of at most ell vertices has no pair ell apart, and neither has any
@@ -198,7 +207,11 @@ def _round(g: Graph, fr: Frame, clean: FatModel) -> Union[Frame, HitSet]:
 
     centers: dict[int, int] = {}
     for x in clean.pattern.vertex_ids():
-        c, rad = radius_center(g, part_vertices(clean.branch_sets[x]))
+        part = clean.branch_sets[x]
+        known = measured.get(x)
+        if known is None or known[0] is not part:
+            known = measured[x] = (part, *radius_center(g, part_vertices(part)))
+        _, c, rad = known
         require(rad <= fr.r,
                 f"branch set of vertex {x} has radius {rad} above budget {fr.r}")
         centers[x] = c
@@ -352,7 +365,8 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     also under python -O: the cleaned model and the new frame.  A model
     without edges is cleaned without a check, since cleaning leaves it as
     the last round's check (or the empty start) found it; a round skips
-    the far-pair searches that the sizes of its components decide.
+    the far-pair searches that the sizes of its components decide, and
+    each branch set's center is measured once per solve.
     The final frame is unwound without a second validate_frame.
     validate=True adds two checks: every frame's counter and scale are
     compared with the schedule, and the final certificate is verified
@@ -361,12 +375,14 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     a = g.check_vertex_set(a)
     k = params.k
     fr = empty_frame(a, params.frame_ell(0), params.frame_r, params.coarse)
+    measured: dict[int, tuple[Part, int, int]] = {}
     for i in range(2 * k - 1):
         if validate:
             require(fr.i == i and fr.ell == params.frame_ell(i),
                     f"frame schedule mismatch at step {i}")
         step_ell = fr.ell // 16
-        out = _round(g, fr, _fat_to_clean(g, fr.model, 8 * step_ell, 4 * step_ell))
+        out = _round(g, fr, _fat_to_clean(g, fr.model, 8 * step_ell, 4 * step_ell),
+                     measured)
         if isinstance(out, HitSet):
             require(len(out.x) <= 2 * fr.i and len(out.x) <= params.bound_f,
                     f"hitting set size {len(out.x)} exceeds its bound")

@@ -52,6 +52,38 @@ class Graph:
             lst.sort()
         self.adj = adj
 
+    @classmethod
+    def from_flat(cls, n: int, flat: list[int]) -> "Graph":
+        """Graph(n, edges) of the edges (flat[0], flat[1]), (flat[2],
+        flat[3]), ...
+
+        Edges in the form graph_to_text writes, u < v < n in each and the
+        pairs strictly increasing, are appended as they come, with no dedup
+        set and no sort: each adj[v] receives its smaller neighbours in
+        increasing order and then its larger ones, so the lists come out
+        sorted and free of duplicates.  Any other input goes to Graph(n,
+        edges) as it is, which raises what it raises there.
+        """
+        if 0 <= n <= MAX_VERTICES:
+            adj: list[list[int]] = [[] for _ in range(n)]
+            # each key exceeds the last, which starts at -1: with v < n this
+            # makes u >= 0, and then u*n + v orders the pairs as tuples do
+            last = -1
+            it = iter(flat)
+            for u, v in zip(it, it):
+                key = u * n + v
+                if not (u < v < n and key > last):
+                    break
+                last = key
+                adj[u].append(v)
+                adj[v].append(u)
+            else:
+                g = cls.__new__(cls)
+                g.n, g.adj = n, adj
+                return g
+        it = iter(flat)
+        return cls(n, zip(it, it))
+
     @property
     def edge_count(self) -> int:
         return sum(len(lst) for lst in self.adj) // 2

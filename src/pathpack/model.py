@@ -254,10 +254,13 @@ def validate_model(g: Graph, m: FatModel) -> list[str]:
         if bad:
             violations.append(f"branch part of {name} has out-of-range ids {sorted(bad)}")
             continue
+        raw = (m.branch_sets if kind == "v" else m.branch_parts)[i]
+        is_tuple = isinstance(raw, tuple)
+        if is_tuple and is_path(g, raw):
+            continue  # a path is connected
         if not _connected(g, vs):
             violations.append(f"branch part of {name} is not connected")
-        raw = (m.branch_sets if kind == "v" else m.branch_parts)[i]
-        if isinstance(raw, tuple) and not is_path(g, raw):
+        if is_tuple:
             violations.append(f"branch part of {name} is marked as a path but is not one")
 
     # vertex-edge incidence: branch sets must meet incident branch parts

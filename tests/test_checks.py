@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import pathpack
-from pathpack import SolveParams, graph, make_instance, model, solve
+from pathpack import SolveParams, frame, graph, make_instance, model, solve
 
 TESTS = Path(__file__).parent
 SRC = Path(pathpack.__file__).parent.parent
@@ -93,6 +93,41 @@ def test_round_skips_the_searches_its_sizes_decide(monkeypatch):
     assert counts["least_far_pair"] == 0
     assert counts["st_path"] == 1
     assert counts["validate_model"] == 1
+
+
+@pytest.mark.parametrize("family, n, a_policy, k", [
+    ("spider", 5000, "endpoints", 2), ("random", 160, "all", 3)])
+def test_a_solve_measures_each_set_once(monkeypatch, family, n, a_policy, k):
+    """A round reads the center of every branch set an earlier round has
+    measured, and a frame check searches only set-valued parts for
+    connectivity: a path part is connected once it is a path, and a
+    branch set of s vertices has radius at most s - 1 < r here."""
+    measured = []
+
+    def radius_center(g, sub, _fn=graph.radius_center):
+        measured.append(frozenset(sub))
+        return _fn(g, sub)
+
+    monkeypatch.setattr(frame, "radius_center", radius_center)
+    counts = count_calls(monkeypatch, graph._connected)
+    checks = []
+
+    def validate_frame(g, fr, _fn=frame.validate_frame):
+        before = counts["_connected"]
+        out = _fn(g, fr)
+        parts = [*fr.model.branch_sets.values(), *fr.model.branch_parts.values()]
+        checks.append((counts["_connected"] - before,
+                       sum(not isinstance(p, tuple) for p in parts),
+                       sum(isinstance(p, tuple) for p in parts)))
+        return out
+
+    monkeypatch.setattr(frame, "validate_frame", validate_frame)
+    g, a = make_instance(family, n, seed=1, a_policy=a_policy)
+    solve(g, a, SolveParams(k, 1))
+    assert measured and len(set(measured)) == len(measured)
+    assert sum(paths for _, _, paths in checks) > 0
+    assert [searches for searches, _, _ in checks] == [
+        sets for _, sets, _ in checks]
 
 
 BROKEN_CLEANNESS = """

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import p3_path_model
 from pathpack import (
+    FAMILIES,
     Graph,
     HittingCertificate,
     InputError,
@@ -14,7 +15,9 @@ from pathpack import (
     SolveParams,
     SolverError,
     fileio,
+    make_instance,
 )
+from pathpack.cli import main
 from pathpack.fileio import (
     _graph_from_lines,
     _vertex_set_from_lines,
@@ -138,6 +141,19 @@ def graph_variants(g: Graph) -> list[tuple[str, bool]]:
         (a, b), (c, d) = body[0].split(), body[1].split()
         out.append(("\n".join([lines[0], f"{a} {b} {c}", d, *body[2:]]) + "\n",
                     False))
+    # canonical-shaped texts whose pairs break the order: each is read in
+    # one pass, not appended as it comes
+    if len(body) >= 2:
+        out.append(("\n".join([lines[0], body[1], body[0], *body[2:]]) + "\n",
+                    True))
+    if body:
+        out.append((with_edges([body[-1]], m + 1), True))
+    # last in the order, but out of range
+    out.append((with_edges([f"{n - 1} {n}"], m + 1), True))
+    non_edge = next((x for x in range(n - 1) if not g.has_edge(x, n - 1)), None)
+    if non_edge is not None:
+        # last in the order, but reversed
+        out.append((with_edges([f"{n - 1} {non_edge}"], m + 1), True))
     return out
 
 
@@ -162,6 +178,25 @@ def test_one_pass_graph_parse_matches_the_line_parser(seed, monkeypatch):
             assert got == want, text
         # the one-pass parse takes exactly the canonical texts
         assert bool(fallbacks) is not canonical, text
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gen_text_is_appended_without_dedup_or_sort(family, tmp_path,
+                                                     monkeypatch):
+    """gen writes each edge once as u < v, in increasing order, so its
+    adjacency lists are appended as they come: Graph.__init__, with its
+    dedup set and its sort, never runs, and the graph is the same."""
+    out = str(tmp_path / "inst")
+    assert main(["gen", "--family", family, "--n", "60", "--seed", "3",
+                 "--a-policy", "all", "--out", out]) == 0
+    want, _ = make_instance(family, 60, seed=3, a_policy="all")
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Graph.__init__ ran")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    got = read_graph(out + ".graph")
+    assert (got.n, got.adj) == (want.n, want.adj)
 
 
 def vertex_set_variants(vs: frozenset[int]) -> list[str]:
