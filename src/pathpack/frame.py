@@ -193,9 +193,12 @@ def _round(g: Graph, fr: Frame, clean: FatModel,
 
     measured maps a pattern vertex to (branch set, center, radius) from
     the rounds before; a branch set that is the same object is not measured
-    again, and the round adds the sets it measures.  fat_to_clean and
-    augment keep every old branch set as it was, and ids are never reused,
-    so a solve measures each set once.
+    again.  The round adds the sets it measures, and records the sets it
+    builds itself with the center and radius their construction gives: a
+    new K2's single terminals, and a close pair's host geodesic, whose
+    center is its middle vertex (the lower id of two).  fat_to_clean and augment keep every old
+    branch set as it was, and ids are never reused, so a solve measures
+    only the sets augment builds, each once.
 
     Searches whose answer the sizes already fix are skipped: a candidate
     of at most ell vertices has no pair ell apart, and neither has any
@@ -286,9 +289,11 @@ def _round(g: Graph, fr: Frame, clean: FatModel,
         parts2 = dict(clean.branch_parts)
         if not close_pair:
             # far pair, far from the model: open a new two-vertex component
+            # whose branch sets are single terminals, each its own center
             h1, h2, e = pattern2.add_k2()
-            sets2[h1] = frozenset({a1})
-            sets2[h2] = frozenset({a2})
+            for h, t in ((h1, a1), (h2, a2)):
+                sets2[h] = frozenset({t})
+                measured[h] = (sets2[h], t, 0)
             parts2[e] = path
         else:
             # close pair: store its connecting geodesic as a finished path;
@@ -296,7 +301,13 @@ def _round(g: Graph, fr: Frame, clean: FatModel,
             link = st_path(g, {a1}, {a2}) if guard else path
             require(link is not None and len(link) - 1 < ell,
                     f"close terminal pair has no geodesic shorter than {ell}")
-            sets2[pattern2.add_vertex()] = link
+            # a host geodesic has no chord, so g[link] is the path itself,
+            # where index i has eccentricity max(i, s - 1 - i): the middle
+            # one or two vertices are least, and a tie goes to the lower id
+            s = len(link)
+            x = pattern2.add_vertex()
+            sets2[x] = link
+            measured[x] = (link, min(link[(s - 1) // 2], link[s // 2]), s // 2)
         model = FatModel(pattern2, sets2, parts2)
 
     new_frame = Frame(model=model, i=fr.i + 1, ell=ell, r=fr.r,
@@ -366,7 +377,9 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     without edges is cleaned without a check, since cleaning leaves it as
     the last round's check (or the empty start) found it; a round skips
     the far-pair searches that the sizes of its components decide, and
-    each branch set's center is measured once per solve.
+    each branch set's center is found once per solve: a set the round
+    builds gets it from its construction, and only augment's sets are
+    measured.
     The final frame is unwound without a second validate_frame.
     validate=True adds two checks: every frame's counter and scale are
     compared with the schedule, and the final certificate is verified

@@ -98,10 +98,11 @@ def test_round_skips_the_searches_its_sizes_decide(monkeypatch):
 @pytest.mark.parametrize("family, n, a_policy, k", [
     ("spider", 5000, "endpoints", 2), ("random", 160, "all", 3)])
 def test_a_solve_measures_each_set_once(monkeypatch, family, n, a_policy, k):
-    """A round reads the center of every branch set an earlier round has
-    measured, and a frame check searches only set-valued parts for
-    connectivity: a path part is connected once it is a path, and a
-    branch set of s vertices has radius at most s - 1 < r here."""
+    """A round finds the center of every branch set it reads once per
+    solve, measured or recorded as the round before built it, and a frame
+    check searches only set-valued parts for connectivity: a path part is
+    connected once it is a path, and a branch set of s vertices has radius
+    at most s - 1 < r here."""
     measured = []
 
     def radius_center(g, sub, _fn=graph.radius_center):
@@ -109,6 +110,21 @@ def test_a_solve_measures_each_set_once(monkeypatch, family, n, a_policy, k):
         return _fn(g, sub)
 
     monkeypatch.setattr(frame, "radius_center", radius_center)
+    tables, read, kept = [], [], []
+    found: Counter = Counter()
+
+    def _round(g, fr, clean, table, _fn=frame._round):
+        tables.append(table)
+        before = dict(table)
+        out = _fn(g, fr, clean, table)
+        read.append(clean)
+        for x, entry in table.items():
+            if before.get(x) is not entry:
+                found[x, id(entry[0])] += 1
+                kept.append(entry[0])  # keeps the id unique
+        return out
+
+    monkeypatch.setattr(frame, "_round", _round)
     counts = count_calls(monkeypatch, graph._connected)
     checks = []
 
@@ -124,10 +140,43 @@ def test_a_solve_measures_each_set_once(monkeypatch, family, n, a_policy, k):
     monkeypatch.setattr(frame, "validate_frame", validate_frame)
     g, a = make_instance(family, n, seed=1, a_policy=a_policy)
     solve(g, a, SolveParams(k, 1))
-    assert measured and len(set(measured)) == len(measured)
+    assert tables[0] and all(t is tables[0] for t in tables)
+    assert all(found[x, id(m.branch_sets[x])] == 1
+               for m in read for x in m.pattern.vertex_ids())
+    assert set(found.values()) == {1}
+    assert len(set(measured)) == len(measured) <= len(found)
     assert sum(paths for _, _, paths in checks) > 0
     assert [searches for searches, _, _ in checks] == [
         sets for _, sets, _ in checks]
+
+
+@pytest.mark.parametrize("family, n, a_policy, k, sizes", [
+    ("random", 160, "all", 3, []), ("path", 40, "all", 2, []),
+    ("cycle", 160, "random_p", 3, []), ("spider", 5000, "endpoints", 2, [1, 48])])
+def test_only_augmented_sets_are_measured(monkeypatch, family, n, a_policy, k,
+                                          sizes):
+    """A round takes the center of a set it builds from its construction,
+    so radius_center runs only on sets that augment built: on the spider,
+    the pendant {a} and the 48-vertex mid set."""
+    measured, built = [], []
+
+    def radius_center(g, sub, _fn=graph.radius_center):
+        measured.append(frozenset(sub))
+        return _fn(g, sub)
+
+    def _augment(g, m, *args, _fn=frame._augment):
+        out = _fn(g, m, *args)
+        old = {id(p) for p in m.branch_sets.values()}
+        built.extend(frozenset(model.part_vertices(p))
+                     for p in out.model.branch_sets.values() if id(p) not in old)
+        return out
+
+    monkeypatch.setattr(frame, "radius_center", radius_center)
+    monkeypatch.setattr(frame, "_augment", _augment)
+    g, a = make_instance(family, n, seed=1, a_policy=a_policy)
+    solve(g, a, SolveParams(k, 1))
+    assert sorted(map(len, measured)) == sizes
+    assert set(measured) <= set(built)
 
 
 BROKEN_CLEANNESS = """

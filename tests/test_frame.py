@@ -2,6 +2,8 @@ import pytest
 
 from helpers import k2_path_model, path_graph
 from pathpack import (
+    A_POLICIES,
+    FAMILIES,
     FatModel,
     Graph,
     HittingCertificate,
@@ -12,6 +14,8 @@ from pathpack import (
     PreconditionError,
     SolveParams,
     ball,
+    frame,
+    graph,
     make_instance,
     solve,
     st_path,
@@ -24,6 +28,7 @@ from pathpack.frame import (
     frame_to_packing,
     validate_frame,
 )
+from pathpack.model import part_vertices
 from pathpack.oracle import verify_hitting, verify_packing
 
 
@@ -421,3 +426,61 @@ class TestSolve:
         cert = solve(g, a, SolveParams(2, 1))
         assert cert == HittingCertificate(frozenset({0}), 65536)
         assert verify_hitting(g, a, cert.x, cert.radius, 4)
+
+
+def public_certificate(g, a, params):
+    """solve's certificate reached by public steps, each of which checks
+    its frame on entry and measures the center of every branch set."""
+    fr = empty_frame(a, params.frame_ell(0), params.frame_r, params.coarse)
+    for _ in range(2 * params.k - 1):
+        out = extend_or_hit(g, fr)
+        if isinstance(out, HitSet):
+            return HittingCertificate(
+                out.x, params.bound_g, params.bound_g if params.coarse else None)
+        fr = out
+    paths = sorted(frame_to_packing(g, fr), key=lambda p: (min(p), p))
+    return PackingCertificate(tuple(paths[:params.k]), params.d, params.coarse)
+
+
+def matrix_cases(family):
+    """The benchmark's seed-1 matrix instances of family with k >= 2: its
+    generator seeds are 3, 4 and 5."""
+    for seed in (3, 4, 5):
+        for n in (40, 80, 160):
+            for policy in A_POLICIES:
+                g, a = make_instance(family, n, seed, policy)
+                for k in (2, 3):
+                    for d in (1, 2, 3):
+                        for coarse in (False, True):
+                            yield g, a, SolveParams(k, d, coarse)
+
+
+def spider_cases():
+    g, a = make_instance("spider", 5000, seed=1)
+    for coarse in (False, True):
+        yield g, a, SolveParams(2, 1, coarse)
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, "spider 5000"])
+def test_solve_matches_the_public_steps(monkeypatch, family):
+    """solve reads the centers a round recorded for the sets it built;
+    the public steps measure every set, and both give the same
+    certificate.  Every recorded center and radius is the measured one."""
+    tables = []
+
+    def _round(g, fr, clean, measured, _fn=frame._round):
+        tables.append(measured)
+        return _fn(g, fr, clean, measured)
+
+    monkeypatch.setattr(frame, "_round", _round)
+    cases = spider_cases() if family == "spider 5000" else matrix_cases(family)
+    entries = 0
+    for g, a, params in cases:
+        tables.clear()
+        cert = solve(g, a, params)
+        table = tables[0]
+        for part, center, radius in table.values():
+            assert (center, radius) == graph.radius_center(g, part_vertices(part))
+        entries += len(table)
+        assert public_certificate(g, a, params) == cert
+    assert entries > 0
