@@ -43,14 +43,16 @@ _CANONICAL_GRAPH = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)+")
 
 def graph_from_text(text: str) -> Graph:
     """Parse a graph file.  Text in the canonical form whose edge count
-    matches its header is read in one pass; any other text goes through the
-    line parser, which names the bad line when there is one."""
+    matches its header is read in one pass and its id pairs go to Graph as
+    they are; any other text goes through the line parser, which names the
+    bad line when there is one."""
     if _CANONICAL_GRAPH.fullmatch(text):
         ids = _canonical_ids(text)
         if len(ids) == 2 * ids[1] + 2:
             n = ids[0]
             del ids[:2]
-            return Graph.from_flat(n, ids)
+            it = iter(ids)
+            return Graph(n, zip(it, it))
     return _graph_from_lines(text)
 
 

@@ -8,7 +8,7 @@ every operation here is deterministic.
 from __future__ import annotations
 
 import heapq
-from itertools import count, repeat
+from itertools import count
 from math import inf
 from typing import Iterable, Optional
 
@@ -29,60 +29,39 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        """The graph on 0..n-1 with the given edges.  An edge listed more
+        than once, in either order, is kept once; an out-of-range edge or a
+        loop raises InputError, naming the first one in the edges' order.
+
+        Edges in the form graph_to_text writes, u < v < n in each and the
+        pairs strictly increasing, are appended as they come: each adj[v]
+        receives its smaller neighbours in increasing order and then its
+        larger ones, so the lists come out sorted and free of repeats.  Only
+        after a pair out of that form are the lists sorted and deduplicated.
+        """
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         if n > MAX_VERTICES:
             raise ParameterRangeError(
                 f"vertex count {n} exceeds the limit {MAX_VERTICES}")
-        self.n = n
         adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
+        # each key exceeds the last, which starts at -1: with v < n this
+        # makes u >= 0, and then u*n + v orders the pairs as tuples do
+        last = -1
+        ordered = True
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise InputError(f"loop at vertex {u} not allowed")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
+            if u < v < n and (key := u * n + v) > last:
+                last = key
+            else:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise InputError(f"loop at vertex {u} not allowed")
+                ordered = False
             adj[u].append(v)
             adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        self.adj = adj
-
-    @classmethod
-    def from_flat(cls, n: int, flat: list[int]) -> "Graph":
-        """Graph(n, edges) of the edges (flat[0], flat[1]), (flat[2],
-        flat[3]), ...
-
-        Edges in the form graph_to_text writes, u < v < n in each and the
-        pairs strictly increasing, are appended as they come, with no dedup
-        set and no sort: each adj[v] receives its smaller neighbours in
-        increasing order and then its larger ones, so the lists come out
-        sorted and free of duplicates.  Any other input goes to Graph(n,
-        edges) as it is, which raises what it raises there.
-        """
-        if 0 <= n <= MAX_VERTICES:
-            adj: list[list[int]] = [[] for _ in range(n)]
-            # each key exceeds the last, which starts at -1: with v < n this
-            # makes u >= 0, and then u*n + v orders the pairs as tuples do
-            last = -1
-            it = iter(flat)
-            for u, v in zip(it, it):
-                key = u * n + v
-                if not (u < v < n and key > last):
-                    break
-                last = key
-                adj[u].append(v)
-                adj[v].append(u)
-            else:
-                g = cls.__new__(cls)
-                g.n, g.adj = n, adj
-                return g
-        it = iter(flat)
-        return cls(n, zip(it, it))
+        self.n = n
+        self.adj = adj if ordered else [sorted(set(lst)) for lst in adj]
 
     @property
     def edge_count(self) -> int:
@@ -107,12 +86,12 @@ class Graph:
         return v in self.adj[u]
 
     def check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 0 <= v < self.n):
+        if not (type(v) is int and 0 <= v < self.n):
             raise InputError(f"vertex {v!r} out of range for n={self.n}")
 
     def check_vertex_set(self, vs: Iterable[int]) -> frozenset[int]:
         out = frozenset(vs)
-        if out and not (all(map(isinstance, out, repeat(int)))
+        if out and not (set(map(type, out)) == {int}
                         and min(out) >= 0 and max(out) < self.n):
             # only to raise: name the first bad vertex in the set's order
             for v in out:
@@ -175,6 +154,8 @@ def ball(g: Graph, x: Iterable[int], r: int | float) -> frozenset[int]:
     seen = set(x)
     if r < 0 or not seen:
         return frozenset()
+    # not frozenset(_levels(...)), which fills a distance map and copies
+    # it: measured slower on spider_ladder and matrix (see ROADMAP)
     adj = g.adj
     frontier = list(seen)
     depth = 0
@@ -392,6 +373,9 @@ def _connected(g: Graph, sub: Iterable[int]) -> bool:
 
 def _component_avoiding(g: Graph, v: int, blocked: frozenset[int]) -> set[int]:
     """Vertex set of v's component in g minus blocked; v is not blocked."""
+    # not _take_component: its rest set, set(range(n)) - blocked, costs
+    # O(n) a round, where this search sees only v's component and its
+    # border (measured slower on every workload, see ROADMAP)
     adj = g.adj
     seen = {v}
     stack = [v]

@@ -17,6 +17,7 @@ from pathpack import (
     fileio,
     make_instance,
 )
+import pathpack.graph as graph_module
 from pathpack.cli import main
 from pathpack.fileio import (
     _graph_from_lines,
@@ -184,18 +185,27 @@ def test_one_pass_graph_parse_matches_the_line_parser(seed, monkeypatch):
 def test_gen_text_is_appended_without_dedup_or_sort(family, tmp_path,
                                                      monkeypatch):
     """gen writes each edge once as u < v, in increasing order, so its
-    adjacency lists are appended as they come: Graph.__init__, with its
-    dedup set and its sort, never runs, and the graph is the same."""
+    adjacency lists are appended as they come: the graph is the same, and
+    Graph never reaches the sort and dedup that it runs only after a pair
+    out of that order.  cycle and spider list such a pair when they are
+    generated, and their graphs do take that step, which shows the probe
+    sees it."""
     out = str(tmp_path / "inst")
     assert main(["gen", "--family", family, "--n", "60", "--seed", "3",
                  "--a-policy", "all", "--out", out]) == 0
+    sorts = []
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
+    # Graph.__init__ is the only code of graph.py that either call runs
+    monkeypatch.setattr(graph_module, "sorted", counted_sorted, raising=False)
     want, _ = make_instance(family, 60, seed=3, a_policy="all")
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("Graph.__init__ ran")
-
-    monkeypatch.setattr(Graph, "__init__", refuse)
+    assert len(sorts) == (want.n if family in ("cycle", "spider") else 0)
+    sorts.clear()
     got = read_graph(out + ".graph")
+    assert sorts == []
     assert (got.n, got.adj) == (want.n, want.adj)
 
 

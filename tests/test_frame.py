@@ -341,6 +341,12 @@ class TestSolve:
         assert got == [(0, 2, 1161), (4, 5, 3)]
         assert verify_packing(g, a, cert.paths, 2, 1)
 
+    def test_a_bool_terminal_is_an_input_error(self):
+        # True == 1, but a certificate naming it would not read back
+        g, _ = make_instance("path", 10)
+        with pytest.raises(InputError, match="^vertex True out of range"):
+            solve(g, frozenset({True, 9}), SolveParams(1, 1))
+
     def test_close_components_pack_as_terminal_paths(self):
         g = Graph(63, chain_edges(21) + chain_edges(21, 21)
                   + chain_edges(21, 42))

@@ -1,5 +1,7 @@
 import random
+import re
 from collections import deque
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -54,9 +56,9 @@ class TestConstruction:
         g = Graph(4, [(0, 1)])
         assert g.check_vertex_set([3, 0, 3]) == frozenset({0, 3})
         assert g.check_vertex_set([]) == frozenset()
-        for bad in ([0, 4], [-1, 2], [1, 2.0, 3], [0, "1"]):
+        for bad in ([0, 4], [-1, 2], [1, 2.0, 3], [0, "1"], [0, True]):
             out = frozenset(bad)
-            culprit = next(v for v in out if not (isinstance(v, int) and 0 <= v < 4))
+            culprit = next(v for v in out if not (type(v) is int and 0 <= v < 4))
             with pytest.raises(InputError, match=f"^vertex {culprit!r} out of range for n=4$"):
                 g.check_vertex_set(bad)
 
@@ -64,6 +66,78 @@ class TestConstruction:
         g = Graph(0, [])
         assert g.n == 0
         assert components(g, set()) == []
+
+
+def reference_adj(n: int, edges) -> list[list[int]]:
+    """Each vertex's neighbours, sorted, each once: built from the edges
+    with no code of graph.py."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return [sorted(vs) for vs in nbrs]
+
+
+def first_bad_edge(n: int, edges) -> str | None:
+    """The message Graph raises for the first edge of the list that is out
+    of range or a loop, or None."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range for n={n}"
+        if u == v:
+            return f"loop at vertex {u} not allowed"
+    return None
+
+
+def seeded_edges(seed: int) -> tuple[int, list[tuple[int, int]]]:
+    """A seeded random graph's edges in gen's order: u < v, increasing."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 30)
+    p = rng.uniform(0.05, 0.5)
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    return n, edges or [(0, n - 1)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_graph_adjacency_matches_a_reference(seed):
+    n, canon = seeded_edges(seed)
+    rng = random.Random(seed)
+    shuffled = rng.sample(canon, len(canon))
+    mixed = (canon + [(v, u) for u, v in rng.choices(canon, k=len(canon))]
+             + rng.choices(canon, k=len(canon) // 2 + 1))
+    rng.shuffle(mixed)
+    (a, b), (u, v) = canon[0], canon[-1]
+    # the last four lists are in gen's form but for their final pair
+    for edges in (canon, shuffled, mixed, [(b, a)] + canon[1:],
+                  canon + [(u, v)], canon + [(v, u)], canon + [(b, a)],
+                  canon + [(a, b)]):
+        assert Graph(n, edges).adj == reference_adj(n, edges), edges
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_graph_names_the_first_bad_edge(seed):
+    n, canon = seeded_edges(seed)
+    rng = random.Random(seed)
+    x = rng.randrange(n)
+    loop = (x, x)
+    far = rng.choice([(n - 1, n), (-1, 0), (0, n + 3), (n, n), (x, -1)])
+    # in gen's order but for its final pair
+    last_loop, last_far = (n - 1, n - 1), (n - 1, n)
+    (a, b) = canon[0]
+    swapped = (b, a)
+    cut = rng.randrange(len(canon) + 1)
+    head, tail = canon[:cut], canon[cut:]
+    cases = [head + [far] + tail + [swapped, loop],
+             head + [loop] + tail + [swapped, far],
+             head + [swapped] + tail + [far, loop],
+             head + [swapped] + tail + [loop, far],
+             canon + [last_loop], canon + [last_far],
+             canon + [swapped, last_loop], canon + [swapped, last_far]]
+    for edges in cases:
+        want = first_bad_edge(n, edges)
+        assert want is not None
+        with pytest.raises(InputError, match=f"^{re.escape(want)}$"):
+            Graph(n, edges)
 
 
 class TestDist:

@@ -1,6 +1,6 @@
 """Source checks: every module keeps every invariant under python -O,
-host-graph searches live in graph.py, and the solver calls no public step
-that checks its input.
+host-graph searches live in graph.py, Graph.__init__ alone builds a graph,
+and the solver calls no public step that checks its input.
 
 A bare assert and an `if __debug__:` block both vanish when Python runs
 with -O, so an invariant kept that way silently stops being checked.  An
@@ -107,6 +107,59 @@ def test_adjacency_detector_names_the_reading_functions():
               "def h(tree):\n    return tree.adj\n"
               "class C:\n    def m(self, g):\n        adj = g.adj\n")
     assert host_adjacency_readers(source) == ["f", "m"]
+
+
+def graph_builders(source: str) -> list[str]:
+    """Where the given source calls __new__ or assigns an .adj attribute,
+    as "scope: what" in line order; the scope is the top-level function, or
+    the class and method, that holds the line."""
+    out = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            scopes = [(f"{top.name}.{getattr(node, 'name', '')}", node)
+                      for node in top.body]
+        else:
+            scopes = [(getattr(top, "name", "<module>"), top)]
+        for scope, node in scopes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and (
+                        getattr(sub.func, "attr", None) == "__new__"
+                        or getattr(sub.func, "id", None) == "__new__"):
+                    out.append((sub.lineno, f"{scope}: __new__"))
+                if isinstance(sub, ast.Assign):
+                    targets = sub.targets
+                elif isinstance(sub, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [sub.target]
+                else:
+                    continue
+                # a target's own attribute, or one in a tuple it unpacks
+                out += [(sub.lineno, f"{scope}: .adj") for target in targets
+                        for t in [target, *getattr(target, "elts", [])]
+                        if isinstance(t, ast.Attribute) and t.attr == "adj"]
+    return [what for _, what in sorted(out)]
+
+
+# forest's working trees keep adjacency sets of their own, not a Graph's
+GRAPH_BUILDERS = {"graph": ["Graph.__init__: .adj"],
+                  "forest": ["_Tree.__init__: .adj"]}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_graph_init_builds_a_graph(module):
+    assert (graph_builders((SRC / f"{module}.py").read_text())
+            == GRAPH_BUILDERS.get(module, []))
+
+
+def test_builder_detector_sees_new_and_adj_assignments():
+    source = ("class Graph:\n    def __init__(self, n):\n"
+              "        self.n, self.adj = n, []\n"
+              "    @classmethod\n    def make(cls):\n"
+              "        g = cls.__new__(cls)\n        g.adj = []\n"
+              "def f(g):\n    g.adj[0] = []\n    g.adj += []\n"
+              "    adj = g.adj\n    object.__new__(Graph)\n")
+    assert graph_builders(source) == [
+        "Graph.__init__: .adj", "Graph.make: __new__", "Graph.make: .adj",
+        "f: .adj", "f: __new__"]
 
 
 # The public steps check their input before they run; the solver has built
