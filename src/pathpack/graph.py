@@ -31,7 +31,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         """The graph on 0..n-1 with the given edges.  An edge listed more
         than once, in either order, is kept once; an out-of-range edge or a
-        loop raises InputError, naming the first one in the edges' order.
+        loop raises InputError, naming the first one in the edges' order,
+        and so does a bool endpoint.
 
         Edges in the form graph_to_text writes, u < v < n in each and the
         pairs strictly increasing, are appended as they come: each adj[v]
@@ -60,8 +61,17 @@ class Graph:
                 ordered = False
             adj[u].append(v)
             adj[v].append(u)
+        if not ordered:
+            adj = [sorted(set(lst)) for lst in adj]
+        # True and False pass the checks above as 1 and 0, so a bool can
+        # only sit in the list of a neighbour of 0 or 1; scanning those
+        # spares the gen-form loop a type test per pair
+        for w in (adj[0] + adj[1] if n > 1 else ()):
+            for x in adj[w]:
+                if type(x) is not int:
+                    raise InputError(f"edge endpoint {x!r} is not an int")
         self.n = n
-        self.adj = adj if ordered else [sorted(set(lst)) for lst in adj]
+        self.adj = adj
 
     @property
     def edge_count(self) -> int:

@@ -48,14 +48,16 @@ class PatternGraph:
                    edges: dict[int, tuple[int, int]]) -> "PatternGraph":
         """Build a pattern with explicit vertex and edge ids."""
         out = cls()
+        # type(v) is int, not isinstance, refuses a bool id, as
+        # Graph.check_vertex does
         for v in sorted(set(vertices)):
-            if not (isinstance(v, int) and v >= 0):
-                raise InputError(f"vertex ids must be nonnegative, got {v!r}")
+            if not (type(v) is int and v >= 0):
+                raise InputError(f"vertex ids must be nonnegative ints, got {v!r}")
             out._adj[v] = {}
         out._next_vertex = max(out._adj, default=-1) + 1
         for eid in sorted(edges):
-            if not (isinstance(eid, int) and eid >= 0):
-                raise InputError(f"edge ids must be nonnegative, got {eid!r}")
+            if not (type(eid) is int and eid >= 0):
+                raise InputError(f"edge ids must be nonnegative ints, got {eid!r}")
             out._next_edge = eid
             out.add_edge(*edges[eid])
         return out
@@ -112,8 +114,9 @@ class PatternGraph:
         return v
 
     def add_edge(self, u: int, v: int) -> int:
-        if u not in self._adj or v not in self._adj:
-            raise InputError(f"edge endpoints {u},{v} must exist")
+        if not (type(u) is int and type(v) is int
+                and u in self._adj and v in self._adj):
+            raise InputError(f"edge endpoints {u!r},{v!r} must be existing int ids")
         if u == v:
             raise InputError("loops not allowed in pattern graphs")
         if v in self._adj[u]:

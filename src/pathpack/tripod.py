@@ -9,12 +9,15 @@ vertex per round.
 
 Cost: tripod() runs every round on one mutable copy of the state.  Each
 closeness test has a geodesic of ell+1 vertices on one side, so it is a
-disjointness test against the (ell-1)-ball around that geodesic, which is
-kept per leg and recomputed only for the leg that moved.  A round then
-costs one (ell-1)-ball and one st_path of depth ell from the moved anchor
-into the uncopied region, not time in the size of the tails or of the
-region, except when removing a region endpoint that is not an induced
-leaf, which searches the region left behind once (graph._take_component).
+disjointness test against an (ell-1)-ball around that geodesic, kept per
+leg.  Round 1 tests every tail and every pair of geodesics.  A later round
+tests only the moved leg's new end: after a slide, the one vertex the
+slide added to its geodesic, and after a rebuild, the whole new geodesic.
+A round then costs one (ell-1)-ball, around one vertex on a slide, and one
+st_path of depth ell from the moved anchor into the uncopied region, not
+time in the size of the tails or of the region, except when removing a
+region endpoint that is not an induced leaf, which searches the region
+left behind once (graph._take_component).
 """
 
 from __future__ import annotations
@@ -171,8 +174,18 @@ def _rounds(g: Graph, t: Tripoid,
     Returns the result and the number of rounds it took, or the state after
     limit rounds and limit.  The rounds work on a mutable copy of t: the
     region is a set, each tail a list with a membership set, and near[j]
-    is the (ell-1)-ball around geodesic j, so every closeness test is a
+    is an (ell-1)-ball around geodesic j, so every closeness test is a
     disjointness test against a ball.
+
+    Round 1 tests every tail and every pair of geodesics, since t comes
+    from a caller.  A round that does not finish leaves every tail at least
+    ell from every other geodesic and the geodesics pairwise at least ell
+    apart, and then moves one leg, which becomes xi.  So a later round
+    tests only leg xi: near[xi] against the other tails and the other two
+    geodesics.  When the leg slid, its geodesic b[1:] + (m,) shares b[1:]
+    with the geodesic just found far from everything, and its tail gained
+    b[1], so near[xi] is the ball around m alone; a rebuilt geodesic gets
+    its full ball.
     """
     ell = t.ell
     adj = g.adj
@@ -195,22 +208,27 @@ def _rounds(g: Graph, t: Tripoid,
             z = frozenset(bs[xi]) | frozenset(link)
             return _result(z, tail_sets, bs, c, 3 - alpha - xi), rounds
 
-        # with the previous case exhausted, no tail is near any geodesic
-        require(all(i == j or near[j].isdisjoint(tail_sets[i])
-                    for i in range(3) for j in range(3)),
-                "a tail is near a geodesic after the near-xi scan")
+        # with the previous case exhausted, no tail is near any geodesic;
+        # later rounds keep this by construction (see the docstring)
+        if rounds == 1:
+            require(all(i == j or near[j].isdisjoint(tail_sets[i])
+                        for i in range(3) for j in range(3)),
+                    "a tail is near a geodesic after the near-xi scan")
 
-        # two close geodesics finish with hub = both geodesics plus a link
-        for alpha in range(3):
-            for beta in range(alpha + 1, 3):
-                if near[alpha].isdisjoint(bs[beta]):
+        # two close geodesics finish with hub = both geodesics plus a link;
+        # after round 1 only the pairs holding xi can have come close
+        for alpha, beta in ((0, 1), (0, 2), (1, 2)):
+            if xi == alpha or xi == beta:
+                if near[xi].isdisjoint(bs[alpha + beta - xi]):
                     continue
-                link = st_path(g, bs[alpha], bs[beta])
-                require(link is not None and len(link) - 1 < ell,
-                        f"no link shorter than {ell} between geodesics "
-                        f"{alpha} and {beta}")
-                z = frozenset(bs[alpha]) | frozenset(bs[beta]) | frozenset(link)
-                return _result(z, tail_sets, bs, c, 3 - alpha - beta), rounds
+            elif rounds > 1 or near[alpha].isdisjoint(bs[beta]):
+                continue
+            link = st_path(g, bs[alpha], bs[beta])
+            require(link is not None and len(link) - 1 < ell,
+                    f"no link shorter than {ell} between geodesics "
+                    f"{alpha} and {beta}")
+            z = frozenset(bs[alpha]) | frozenset(bs[beta]) | frozenset(link)
+            return _result(z, tail_sets, bs, c, 3 - alpha - beta), rounds
 
         # shrink: some region endpoint c_alpha separates the other two
         cs = [b[-1] for b in bs]
@@ -236,8 +254,6 @@ def _rounds(g: Graph, t: Tripoid,
                 "no region endpoint leaves the other two connected")
 
         b_new = st_path(g, (ws[alpha],), c, cutoff=ell)
-        require(b_new is None or len(b_new) - 1 >= ell,
-                f"anchor {ws[alpha]} is closer than {ell} to the new region")
         if b_new is None:
             # the anchor is now farther than ell: slide it one step along b
             cand = [x for x in adj[cs[alpha]] if x in c]
@@ -246,9 +262,14 @@ def _rounds(g: Graph, t: Tripoid,
             tails[alpha].append(w2)
             tail_sets[alpha].add(w2)
             ws[alpha] = w2
-            b_new = bs[alpha][1:] + (min(cand),)
-        bs[alpha] = b_new
-        near[alpha] = ball(g, b_new, ell - 1)
+            m = min(cand)
+            bs[alpha] = bs[alpha][1:] + (m,)
+            near[alpha] = ball(g, (m,), ell - 1)
+        else:
+            require(len(b_new) - 1 >= ell,
+                    f"anchor {ws[alpha]} is closer than {ell} to the new region")
+            bs[alpha] = b_new
+            near[alpha] = ball(g, b_new, ell - 1)
         xi = alpha
         require(len(c) < size, "working region did not shrink")
 

@@ -140,6 +140,20 @@ def test_graph_names_the_first_bad_edge(seed):
             Graph(n, edges)
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, True), (True, 2), (2, 3)],      # gen's form: appended as it comes
+    [(2, 3), (True, 2), (0, True)],      # out of form: sorted and deduplicated
+    [(False, 2), (1, 3)],
+    [(1, 3), (3, False)],
+    [(True, False), (2, 3)],
+])
+def test_graph_refuses_a_bool_endpoint(edges):
+    """A bool passes the range checks as 0 or 1; the graph refuses it once
+    the lists are built, on either construction path."""
+    with pytest.raises(InputError, match="is not an int"):
+        Graph(4, edges)
+
+
 class TestDist:
     def test_path_endpoints(self):
         g = path_graph(5)

@@ -99,6 +99,22 @@ class TestPatternGraph:
         with pytest.raises(InputError):
             PatternGraph.from_parts([-1], {})
 
+    @pytest.mark.parametrize("vertices, edges", [
+        ([0, True], {}),
+        ([False, 1], {0: (False, 1)}),
+        ([0, 1], {True: (0, 1)}),
+        ([0, 1], {0: (0, True)}),
+    ])
+    def test_from_parts_refuses_a_bool_id(self, vertices, edges):
+        with pytest.raises(InputError, match="int"):
+            PatternGraph.from_parts(vertices, edges)
+
+    def test_add_edge_refuses_a_bool_endpoint(self):
+        p = PatternGraph.from_parts([0, 1], {})
+        with pytest.raises(InputError, match="int"):
+            p.add_edge(True, 0)
+        assert p.n_edges == 0
+
     def test_from_parts_checks_edges_like_add_edge(self):
         with pytest.raises(InputError):
             PatternGraph.from_parts([0], {0: (0, 0)})

@@ -1,9 +1,12 @@
+import importlib
 import random
 
 import pytest
 
 from helpers import generated_tripod_instances, path_graph
-from pathpack import Graph, PreconditionError, st_path
+from pathpack import (Graph, PreconditionError, SolveParams, dist,
+                      make_instance, solve, st_path)
+from pathpack.graph import UNREACHABLE
 from pathpack.tripod import (
     TripodResult,
     check_tripod_result,
@@ -76,8 +79,35 @@ def random_core_instance(rng):
     return Graph(nxt, edges), tuple(tips), frozenset(range(size)), ell, d
 
 
+def fork_instance(shortcut):
+    """Path 0..6 forking at 6 into 7-8-9 and 10-11-12; tip 16 hangs at 0,
+    tip 20 at 9 through anchor 18, tip 23 at 12; ell = 2.  Leg 0 slides
+    along the path until its region end is the fork, where leg 1's end 9
+    is removed instead.  Vertex 19 joins anchor 18 to 8 and to the path
+    vertex `shortcut`, so leg 1's geodesic is rebuilt as 18-19-8, and the
+    next round finishes on 19's neighbour `shortcut`, which is then leg 0's
+    anchor (4) or the middle of leg 0's geodesic (5)."""
+    edges = [(i, i + 1) for i in range(6)]
+    edges += [(6, 7), (7, 8), (8, 9), (6, 10), (10, 11), (11, 12)]
+    edges += [(0, 14), (14, 15), (15, 16)]
+    edges += [(9, 17), (17, 18), (18, 20), (18, 19), (19, 8), (19, shortcut)]
+    edges += [(12, 21), (21, 22), (22, 23)]
+    return Graph(24, edges), (16, 20, 23), frozenset(range(13)), 2, 3
+
+
+def near_tail_instance():
+    """A rebuilt geodesic comes within ell of another leg's tail."""
+    return fork_instance(4)
+
+
+def near_geodesic_instance():
+    """A rebuilt geodesic of leg 1 comes within ell of leg 0's geodesic,
+    away from the end that leg 0's last slide added."""
+    return fork_instance(5)
+
+
 ALL_INSTANCES = [spider_instance, hanging_tip_instance, cycle_core_instance,
-                 prong_instance]
+                 prong_instance, near_tail_instance, near_geodesic_instance]
 
 
 def shrink_branches(g, before, after):
@@ -92,41 +122,64 @@ def shrink_branches(g, before, after):
             "geodesic slide" if slid else "geodesic rebuild")
 
 
+def finish_kind(g, t):
+    """How the round from tripoid t finishes: "near xi" when a tail comes
+    within ell of geodesic xi, else "pair", or "pair, xi higher" when xi
+    is the higher index of the first close pair of geodesics."""
+    def close(x, y):
+        return dist(g, x, y, cutoff=t.ell - 1) is not UNREACHABLE
+    b_xi = t.legs[t.xi].b
+    if any(close(leg.r, b_xi) for i, leg in enumerate(t.legs) if i != t.xi):
+        return "near xi"
+    beta = next(beta for alpha, beta in ((0, 1), (0, 2), (1, 2))
+                if close(t.legs[alpha].b, t.legs[beta].b))
+    return "pair, xi higher" if beta == t.xi else "pair"
+
+
 def run_stepwise(g, vs, q, ell, d):
     """Drive the construction one step at a time, revalidating the
-    invariants after every step.  Returns the result, the step count and
-    the set of shrink branches taken."""
+    invariants after every step.  Returns the result, the step count, the
+    set of shrink branches taken and how the run finished: the finish
+    kind, and the geodesic branch of the round before (None if the first
+    round finished)."""
     state = init_tripoid(g, vs, q, ell, d)
     assert check_tripoid(g, state) == []
     steps = 0
     branches = set()
+    last = None
     while True:
         nxt = tripod_step(g, state)
         steps += 1
         assert steps <= len(q) + 1
         if isinstance(nxt, TripodResult):
             assert check_tripod_result(g, vs, frozenset(q), ell, d, nxt) == []
-            return nxt, steps, branches
+            return nxt, steps, branches, (finish_kind(g, state), last)
         assert check_tripoid(g, nxt) == []
-        branches.update(shrink_branches(g, state, nxt))
+        moves = shrink_branches(g, state, nxt)
+        branches.update(moves)
+        last = moves[1]
         state = nxt
 
 
 @pytest.mark.parametrize("build", ALL_INSTANCES)
 def test_stepwise_invariants(build):
     g, vs, q, ell, d = build()
-    res, steps, _ = run_stepwise(g, vs, q, ell, d)
+    res, steps, _, _ = run_stepwise(g, vs, q, ell, d)
     assert steps <= len(q)
 
 
 def assert_driver_matches_stepwise(g, vs, q, ell, d):
+    """tripod() runs all its rounds in one _rounds call, and tests in a
+    round after the first only what the round before moved; tripod_step
+    runs each round as a first round, testing everything.  Returns the
+    shrink branches taken and how the run finished (see run_stepwise)."""
     res = tripod(g, vs, q, ell, d)
-    manual, steps, branches = run_stepwise(g, vs, q, ell, d)
+    manual, steps, branches, finish = run_stepwise(g, vs, q, ell, d)
     assert res.z == manual.z
     assert res.p == manual.p
     assert res.iterations == steps
     assert res.iterations <= len(q)
-    return branches
+    return branches, finish
 
 
 @pytest.mark.parametrize("build", ALL_INSTANCES)
@@ -136,16 +189,70 @@ def test_driver_matches_stepwise(build):
 
 def test_driver_matches_stepwise_on_generated():
     """The batched rounds of tripod() agree with stepping on the 200
-    instances of acceptance criterion 5 and on 100 random cores.  The
-    criterion 5 instances only remove leaves and slide geodesics; the
-    random cores take the other two shrink branches too."""
+    instances of acceptance criterion 5, on 100 random cores and on the
+    two fork instances.  The criterion 5 instances only remove leaves and
+    slide geodesics; the random cores take the other two shrink branches
+    too.  Past round 1 the batched rounds test only the moved leg, so the
+    runs must also finish, after more than one round, in each way that
+    leans on that: a tail near the moved geodesic (near_tail_instance), a
+    close pair whose higher index moved, and a finish right after a
+    rebuilt geodesic (both fork instances)."""
     instances = list(generated_tripod_instances())
     instances += [random_core_instance(random.Random(seed)) for seed in range(100)]
+    instances += [near_tail_instance(), near_geodesic_instance()]
     branches = set()
+    finishes = set()
     for instance in instances:
-        branches |= assert_driver_matches_stepwise(*instance)
+        taken, (kind, last) = assert_driver_matches_stepwise(*instance)
+        branches |= taken
+        if last is not None:
+            finishes |= {kind, "after " + last}
     assert branches == {"leaf removal", "component replacement",
                         "geodesic slide", "geodesic rebuild"}
+    assert {"near xi", "pair, xi higher", "after geodesic rebuild"} <= finishes
+
+
+def record_round_balls(monkeypatch):
+    """Record the source count of every (ell-1)-ball that tripod's rounds
+    build, one list per tripod call, with the call's result."""
+    module = importlib.import_module("pathpack.tripod")
+    real_ball = module.ball
+    runs = []
+
+    def recording_ball(g, x, r):
+        x = tuple(x)
+        if runs and r == runs[-1][0] - 1:
+            runs[-1][1].append(len(x))
+        return real_ball(g, x, r)
+
+    def recording_tripod(g, vs, q, ell, d):
+        runs.append([ell, [], None])
+        runs[-1][2] = tripod(g, vs, q, ell, d)
+        return runs[-1][2]
+
+    monkeypatch.setattr(module, "ball", recording_ball)
+    monkeypatch.setattr(importlib.import_module("pathpack.augment"), "tripod",
+                        recording_tripod)
+    return runs, recording_tripod
+
+
+@pytest.mark.parametrize("case", ["prong", "spider 5000"])
+def test_slide_rounds_ball_the_new_end_alone(monkeypatch, case):
+    """Every round of these runs slides its leg.  Round 1 balls the three
+    geodesics; each later round balls only the vertex the slide added to
+    its leg's geodesic.  The round counts are those of the full tests."""
+    runs, run = record_round_balls(monkeypatch)
+    if case == "prong":
+        run(*prong_instance())
+        want = 198
+    else:
+        g, a = make_instance("spider", 5000)
+        solve(g, a, SolveParams(2, 1))
+        want = 1187
+    assert len(runs) == 1
+    ell, sizes, res = runs[0]
+    assert res.iterations == want
+    assert sizes == [ell + 1] * 3 + [1] * (res.iterations - 1)
 
 
 def test_spider_frozen_outcome():
