@@ -19,7 +19,7 @@ from .forest import _leaf_bound, degree_classes, extract_z_paths
 from .graph import (Graph, UNREACHABLE, _component_avoiding, ball, dist,
                     distance_map, has_radius_at_most, least_far_pair,
                     radius_center, st_path)
-from .model import (FatModel, Part, PatternGraph, _fat_to_clean, _fatness,
+from .model import (FatModel, PatternGraph, _fat_to_clean, _fatness,
                     part_vertices, validate_model)
 from .oracle import hitting_violations, packing_violations
 
@@ -171,9 +171,7 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, HitSet]:
     if fr.r < 4 * ell:
         raise PreconditionError(f"radius budget {fr.r} below 4*ell={4 * ell}")
     _require_valid(g, fr)
-    # a valid frame's model is fr.ell = (8*ell + 2*4*ell)-fat, all that
-    # fat_to_clean asks of its input
-    return _round(g, fr, _fat_to_clean(g, fr.model, 8 * ell, 4 * ell), {})
+    return _round(g, fr, {})
 
 
 def _require_valid(g: Graph, fr: Frame) -> None:
@@ -185,18 +183,17 @@ def _require_valid(g: Graph, fr: Frame) -> None:
         raise PreconditionError(f"invalid frame: {bad[0]}")
 
 
-def _round(g: Graph, fr: Frame, clean: FatModel,
-           measured: dict[int, tuple[Part, int, int]]) -> Union[Frame, HitSet]:
-    """extend_or_hit of a frame on the solver's schedule, given its model
-    made clean by fat_to_clean, whose output check is also all that augment
-    needs of its input.  The new frame is checked once, by validate_frame.
+def _round(g: Graph, fr: Frame,
+           centers: dict[int, int]) -> Union[Frame, HitSet]:
+    """extend_or_hit of a frame on the solver's schedule that has passed
+    validate_frame, which also bounds its branch sets' radii by fr.r.  The
+    new frame is checked once, by validate_frame.
 
-    measured maps a pattern vertex to (branch set, center, radius) from
-    the rounds before; a branch set that is the same object is not measured
-    again.  The round adds the sets it measures, and records the sets it
-    builds itself with the center and radius their construction gives: a
-    new K2's single terminals, and a close pair's host geodesic, whose
-    center is its middle vertex (the lower id of two).  fat_to_clean and augment keep every old
+    centers maps the pattern vertices of fr, and no others, to the centers
+    of their branch sets.  The round measures the sets missing from it, and
+    records the center of each set it builds: a new K2's single terminals
+    are their own centers, and a close pair's host geodesic has its middle
+    vertex (the lower id of two).  fat_to_clean and augment keep every old
     branch set as it was, and ids are never reused, so a solve measures
     only the sets augment builds, each once.
 
@@ -207,17 +204,14 @@ def _round(g: Graph, fr: Frame, clean: FatModel,
     already its geodesic in the host.
     """
     ell = fr.ell // 16
+    # a valid frame's model is fr.ell = (8*ell + 2*4*ell)-fat, all that
+    # fat_to_clean asks of its input; its output check is also all that
+    # augment needs of its input
+    clean = _fat_to_clean(g, fr.model, 8 * ell, 4 * ell)
 
-    centers: dict[int, int] = {}
     for x in clean.pattern.vertex_ids():
-        part = clean.branch_sets[x]
-        known = measured.get(x)
-        if known is None or known[0] is not part:
-            known = measured[x] = (part, *radius_center(g, part_vertices(part)))
-        _, c, rad = known
-        require(rad <= fr.r,
-                f"branch set of vertex {x} has radius {rad} above budget {fr.r}")
-        centers[x] = c
+        if x not in centers:
+            centers[x] = radius_center(g, part_vertices(clean.branch_sets[x]))[0]
     hit = frozenset(centers.values())
     require(len(hit) == len(centers), "branch-set centers collide")
 
@@ -293,7 +287,7 @@ def _round(g: Graph, fr: Frame, clean: FatModel,
             h1, h2, e = pattern2.add_k2()
             for h, t in ((h1, a1), (h2, a2)):
                 sets2[h] = frozenset({t})
-                measured[h] = (sets2[h], t, 0)
+                centers[h] = t
             parts2[e] = path
         else:
             # close pair: store its connecting geodesic as a finished path;
@@ -307,7 +301,7 @@ def _round(g: Graph, fr: Frame, clean: FatModel,
             s = len(link)
             x = pattern2.add_vertex()
             sets2[x] = link
-            measured[x] = (link, min(link[(s - 1) // 2], link[s // 2]), s // 2)
+            centers[x] = min(link[(s - 1) // 2], link[s // 2])
         model = FatModel(pattern2, sets2, parts2)
 
     new_frame = Frame(model=model, i=fr.i + 1, ell=ell, r=fr.r,
@@ -375,12 +369,11 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     Every round checks each model it builds once, whatever the flags and
     also under python -O: the cleaned model and the new frame.  A model
     without edges is cleaned without a check, since cleaning leaves it as
-    the last round's check (or the empty start) found it; a round skips
+    the last round's check (or the empty start) found it.  A round skips
     the far-pair searches that the sizes of its components decide, and
-    each branch set's center is found once per solve: a set the round
-    builds gets it from its construction, and only augment's sets are
-    measured.
-    The final frame is unwound without a second validate_frame.
+    keeps one table of branch-set centers per solve, so only augment's
+    sets are measured.  The final frame is unwound without a second
+    validate_frame.
     validate=True adds two checks: every frame's counter and scale are
     compared with the schedule, and the final certificate is verified
     independently by the oracle module.
@@ -388,18 +381,16 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     a = g.check_vertex_set(a)
     k = params.k
     fr = empty_frame(a, params.frame_ell(0), params.frame_r, params.coarse)
-    measured: dict[int, tuple[Part, int, int]] = {}
+    centers: dict[int, int] = {}
     for i in range(2 * k - 1):
         if validate:
             require(fr.i == i and fr.ell == params.frame_ell(i),
                     f"frame schedule mismatch at step {i}")
-        step_ell = fr.ell // 16
-        out = _round(g, fr, _fat_to_clean(g, fr.model, 8 * step_ell, 4 * step_ell),
-                     measured)
+        out = _round(g, fr, centers)
         if isinstance(out, HitSet):
             require(len(out.x) <= 2 * fr.i and len(out.x) <= params.bound_f,
                     f"hitting set size {len(out.x)} exceeds its bound")
-            require(fr.r + 8 * step_ell <= params.bound_g,
+            require(fr.r + 8 * (fr.ell // 16) <= params.bound_g,
                     "guard radius exceeds the bound")
             cert: Certificate = HittingCertificate(
                 x=out.x, radius=params.bound_g,

@@ -320,7 +320,7 @@ def least_far_pair(g: Graph, averts: Iterable[int],
 
 def is_path(g: Graph, seq: tuple[int, ...]) -> bool:
     """True iff seq is a path in g: distinct vertices, consecutive adjacent."""
-    if len(seq) == 0:
+    if len(seq) == 0 or min(seq) < 0 or max(seq) >= g.n:
         return False
     if len(set(seq)) != len(seq):
         return False

@@ -284,7 +284,13 @@ def tripod_step(g: Graph, t: Tripoid) -> Union[TripodResult, Tripoid]:
     Finishing happens when some tail or some pair of geodesics comes within
     ell of geodesic xi or of each other; otherwise the leg whose region
     endpoint separates the other two hands over a smaller region.
+    Raises InputError for a vertex outside g, as init_tripoid does, and
+    PreconditionError naming the first violated invariant of t.
     """
+    g.check_vertex_set((*t.vs, *(leg.w for leg in t.legs), *t.c, *t.q))
+    bad = check_tripoid(g, t)
+    if bad:
+        raise PreconditionError(f"invalid tripoid: {bad[0]}")
     return _rounds(g, t, 1)[0]
 
 

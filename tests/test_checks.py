@@ -98,11 +98,12 @@ def test_round_skips_the_searches_its_sizes_decide(monkeypatch):
 @pytest.mark.parametrize("family, n, a_policy, k", [
     ("spider", 5000, "endpoints", 2), ("random", 160, "all", 3)])
 def test_a_solve_measures_each_set_once(monkeypatch, family, n, a_policy, k):
-    """A round finds the center of every branch set it reads once per
-    solve, measured or recorded as the round before built it, and a frame
-    check searches only set-valued parts for connectivity: a path part is
-    connected once it is a path, and a branch set of s vertices has radius
-    at most s - 1 < r here."""
+    """A round measures a branch set only when the solve's table has no
+    center for it, and enters each center once, so a solve finds the
+    center of every branch set it reads once; a frame check searches only
+    set-valued parts for connectivity: a path part is connected once it is
+    a path, and a branch set of s vertices has radius at most s - 1 < r
+    here."""
     measured = []
 
     def radius_center(g, sub, _fn=graph.radius_center):
@@ -110,18 +111,18 @@ def test_a_solve_measures_each_set_once(monkeypatch, family, n, a_policy, k):
         return _fn(g, sub)
 
     monkeypatch.setattr(frame, "radius_center", radius_center)
-    tables, read, kept = [], [], []
-    found: Counter = Counter()
+    tables, read = [], []
+    entered: Counter = Counter()
 
-    def _round(g, fr, clean, table, _fn=frame._round):
-        tables.append(table)
-        before = dict(table)
-        out = _fn(g, fr, clean, table)
-        read.append(clean)
-        for x, entry in table.items():
-            if before.get(x) is not entry:
-                found[x, id(entry[0])] += 1
-                kept.append(entry[0])  # keeps the id unique
+    def _round(g, fr, centers, _fn=frame._round):
+        tables.append(centers)
+        before, calls = dict(centers), len(measured)
+        out = _fn(g, fr, centers)
+        read.append(fr)
+        new = centers.keys() - before.keys()
+        assert before.items() <= centers.items()
+        assert len(measured) - calls == len(new & set(fr.pattern.vertex_ids()))
+        entered.update(new)
         return out
 
     monkeypatch.setattr(frame, "_round", _round)
@@ -141,10 +142,9 @@ def test_a_solve_measures_each_set_once(monkeypatch, family, n, a_policy, k):
     g, a = make_instance(family, n, seed=1, a_policy=a_policy)
     solve(g, a, SolveParams(k, 1))
     assert tables[0] and all(t is tables[0] for t in tables)
-    assert all(found[x, id(m.branch_sets[x])] == 1
-               for m in read for x in m.pattern.vertex_ids())
-    assert set(found.values()) == {1}
-    assert len(set(measured)) == len(measured) <= len(found)
+    assert all(entered[x] == 1 for fr in read for x in fr.pattern.vertex_ids())
+    assert set(entered.values()) == {1}
+    assert len(set(measured)) == len(measured) <= len(entered)
     assert sum(paths for _, _, paths in checks) > 0
     assert [searches for searches, _, _ in checks] == [
         sets for _, sets, _ in checks]

@@ -6,7 +6,8 @@ import pytest
 
 import pathpack.cli
 from helpers import k2_path_model, path_graph
-from pathpack import InternalInvariantError, fileio, make_instance
+from pathpack import (InternalInvariantError, certificate_violations, fileio,
+                      make_instance)
 from pathpack.cli import main
 from pathpack.generate import FAMILIES
 from pathpack.graph import MAX_VERTICES
@@ -247,6 +248,18 @@ def test_readme_quickstart_runs_verbatim(tmp_path, monkeypatch):
     assert [argv[:2] for argv in lines] == [
         ["pathpack", "gen"], ["pathpack", "solve"], ["pathpack", "verify"]]
     assert [main(argv[1:]) for argv in lines] == [0, 10, 0]
+
+
+def test_readme_library_block_runs_verbatim():
+    """The README's library block runs as written, and its own check of the
+    certificate runs too: it is compiled with asserts kept, also under -O."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    ns: dict = {}
+    exec(compile(block, str(README), "exec", optimize=0), ns)
+    assert "certificate_violations(g, a, params, cert) == []" in block
+    assert certificate_violations(ns["g"], ns["a"], ns["params"], ns["cert"]) == []
 
 
 class TestGen:

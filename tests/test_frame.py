@@ -471,12 +471,22 @@ def spider_cases():
 def test_solve_matches_the_public_steps(monkeypatch, family):
     """solve reads the centers a round recorded for the sets it built;
     the public steps measure every set, and both give the same
-    certificate.  Every recorded center and radius is the measured one."""
+    certificate.  A round enters the center of every set of the frame it
+    reads, and of the sets it builds; each entry is the measured center of
+    the set it names, and no round changes an entry it was given."""
     tables = []
 
-    def _round(g, fr, clean, measured, _fn=frame._round):
-        tables.append(measured)
-        return _fn(g, fr, clean, measured)
+    def _round(g, fr, centers, _fn=frame._round):
+        tables.append(centers)
+        before = dict(centers)
+        out = _fn(g, fr, centers)
+        assert before.items() <= centers.items()
+        assert centers.keys() >= set(fr.pattern.vertex_ids())
+        last = out if isinstance(out, Frame) else fr
+        for x, c in centers.items():
+            part = part_vertices(last.model.branch_sets[x])
+            assert c == graph.radius_center(g, part)[0]
+        return out
 
     monkeypatch.setattr(frame, "_round", _round)
     cases = spider_cases() if family == "spider 5000" else matrix_cases(family)
@@ -484,9 +494,7 @@ def test_solve_matches_the_public_steps(monkeypatch, family):
     for g, a, params in cases:
         tables.clear()
         cert = solve(g, a, params)
-        table = tables[0]
-        for part, center, radius in table.values():
-            assert (center, radius) == graph.radius_center(g, part_vertices(part))
-        entries += len(table)
+        assert all(t is tables[0] for t in tables)
+        entries += len(tables[0])
         assert public_certificate(g, a, params) == cert
     assert entries > 0

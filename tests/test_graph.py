@@ -240,6 +240,11 @@ class TestIsPath:
     def test_rejects_empty(self):
         assert not is_path(path_graph(3), ())
 
+    @pytest.mark.parametrize("seq", [(-1, 8), (9, -1), (100, 101), (8, 9, 10)])
+    def test_rejects_ids_outside_the_graph(self, seq):
+        """-1 would index the last vertex, and 100 no vertex at all."""
+        assert not is_path(path_graph(10), seq)
+
 
 class TestComponents:
     def test_split(self):

@@ -1,13 +1,15 @@
+import dataclasses
 import importlib
 import random
 
 import pytest
 
 from helpers import generated_tripod_instances, path_graph
-from pathpack import (Graph, PreconditionError, SolveParams, dist,
+from pathpack import (Graph, InputError, PreconditionError, SolveParams, dist,
                       make_instance, solve, st_path)
 from pathpack.graph import UNREACHABLE
 from pathpack.tripod import (
+    Leg,
     TripodResult,
     check_tripod_result,
     check_tripoid,
@@ -330,6 +332,34 @@ class TestPreconditions:
         g, vs, q, ell, d = spider_instance()
         with pytest.raises(PreconditionError):
             tripod(g, vs, q, 0, d)
+
+    @pytest.mark.parametrize("break_state, message", [
+        (lambda t: dataclasses.replace(t, c=frozenset()),
+         "working region is empty"),
+        (lambda t: dataclasses.replace(t, legs=(
+            t.legs[0], t.legs[1], Leg(r=(30,), w=30, b=t.legs[2].b))),
+         "leg 2: geodesic does not start at the anchor")])
+    def test_step_refuses_an_invalid_state(self, break_state, message):
+        """tripod_step checks its state as init_tripoid leaves it: an
+        empty region, or a leg whose geodesic does not start at its anchor,
+        would otherwise come back as a result with a broken connector."""
+        g, _ = make_instance("spider", 41)
+        t = init_tripoid(g, (10, 20, 30), frozenset({0}), 2, 10)
+        with pytest.raises(PreconditionError, match=f"invalid tripoid: {message}"):
+            tripod_step(g, break_state(t))
+
+    @pytest.mark.parametrize("break_state", [
+        lambda t: dataclasses.replace(t, c=frozenset({0, 100})),
+        lambda t: dataclasses.replace(t, q=frozenset({0, -1})),
+        lambda t: dataclasses.replace(t, vs=(10, 20, 99)),
+        lambda t: dataclasses.replace(
+            t, legs=(*t.legs[:2], t.legs[2]._replace(w=999)))])
+    def test_step_refuses_ids_outside_the_graph(self, break_state):
+        """-1 would index the last vertex, and 99 or more no vertex."""
+        g, _ = make_instance("spider", 41)
+        t = init_tripoid(g, (10, 20, 30), frozenset({0}), 2, 10)
+        with pytest.raises(InputError):
+            tripod_step(g, break_state(t))
 
 
 @pytest.mark.parametrize("hub", [frozenset(), frozenset({0, 20})])
