@@ -31,7 +31,7 @@ class AugmentResult:
     pendant_vertex: Optional[int] = None
 
 
-def _first_at_exact(g: Graph, walk: tuple[int, ...], dmap: dict[int, int],
+def _first_at_exact(walk: tuple[int, ...], dmap: dict[int, int],
                     target: int) -> int:
     """Index of the first walk vertex at mapped distance exactly target,
     checking that all earlier vertices are farther."""
@@ -104,7 +104,9 @@ def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
     """augment of a model the caller has found 8*ell-fat and 4*ell-clean,
     along a path p from a whose shape the caller has checked: augment()
     checks it for a public caller, and a solver round builds p to have it,
-    so this runs no search on p.
+    so this runs no search on p, and maps no cleanness layers.  Each fact
+    is searched once: a cut-off st_path both decides whether the stubs are
+    close and finds their link, and likewise for the fold.
 
     Checks only the output facts of this step: the mid branch set has
     radius at most 4*ell and every other branch set and part is unchanged.
@@ -130,8 +132,8 @@ def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
             and dmap_w.get(v_z, UNREACHABLE) >= 8 * ell,
             f"end of p is closer than {8 * ell} to an end of the branch path")
 
-    i_y = _first_at_exact(g, walk_y, dmap_w, 4 * ell)
-    i_z = _first_at_exact(g, walk_z, dmap_w, 4 * ell)
+    i_y = _first_at_exact(walk_y, dmap_w, 4 * ell)
+    i_z = _first_at_exact(walk_z, dmap_w, 4 * ell)
     q_y, q_z = walk_y[i_y], walk_z[i_z]
     path_q_y = walk_y[:i_y + 1]
     path_q_z = walk_z[:i_z + 1]
@@ -146,13 +148,7 @@ def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
     require(dist(g, p, set_q_y | set_q_z, cutoff=4 * ell - 1) is UNREACHABLE,
             f"p comes closer than {4 * ell} to a trimmed stub")
 
-    w_y = st_path(g, {w}, {q_y})
-    w_z = st_path(g, {w}, {q_z})
-    require(w_y is not None and len(w_y) - 1 == 4 * ell
-            and w_z is not None and len(w_z) - 1 == 4 * ell,
-            f"end of p is not at distance exactly {4 * ell} from both stub ends")
-
-    stubs_close = dist(g, set_q_y, set_q_z, cutoff=ell - 1) is not UNREACHABLE
+    link = st_path(g, set_q_y, set_q_z, cutoff=ell - 1)
 
     pattern2 = m.pattern.copy()
     h, e_y, e_z = pattern2.subdivide(yz)
@@ -161,13 +157,17 @@ def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
     del parts2[yz]
 
     pendant: Optional[Part] = None
-    if not stubs_close:
+    if link is None:
+        w_y = st_path(g, {w}, {q_y})
+        w_z = st_path(g, {w}, {q_z})
+        require(w_y is not None and len(w_y) - 1 == 4 * ell
+                and w_z is not None and len(w_z) - 1 == 4 * ell,
+                f"end of p is not at distance exactly {4 * ell} from both stub ends")
         mid = frozenset(w_y) | frozenset(w_z)
-        if dist(g, {a}, {w}, cutoff=2 * ell - 1) is not UNREACHABLE:
+        fold = st_path(g, {a}, {w}, cutoff=2 * ell - 1)
+        if fold is not None:
             # fold the approach into the subdivision vertex
-            link = st_path(g, {a}, {w})
-            require(link is not None, "no path from a to the end of p")
-            mid |= frozenset(link)
+            mid |= frozenset(fold)
         else:
             # hang a on a pendant vertex, linked by p itself
             pendant = p
@@ -175,16 +175,12 @@ def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
         parts2[e_y] = path_q_y
         parts2[e_z] = path_q_z
     else:
-        # the two stubs nearly meet: rebuild the junction around them
-        link = st_path(g, set_q_y, set_q_z)
-        require(link is not None and len(link) - 1 < ell,
-                f"no link shorter than {ell} between the close stubs")
-        dmap_y = distance_map(g, set_y, cutoff=4 * ell)
-        dmap_z = distance_map(g, set_z, cutoff=4 * ell)
-        for walk, dmap in ((walk_y, dmap_y), (walk_z, dmap_z)):
-            hits = [v for v in myz if dmap.get(v, UNREACHABLE) == 3 * ell]
-            require(len(hits) == 1 and dmap.get(walk[3 * ell]) == 3 * ell,
-                    f"cleanness violation: trim vertex not unique at layer {3 * ell}")
+        # the two stubs nearly meet: rebuild the junction around them.
+        # _first_at_exact put w at exactly 4*ell from q_y and q_z.  m is a
+        # simple 4*ell-clean model, so walk[i] is the only vertex of the
+        # branch path at distance i from its end's branch set, for every
+        # i <= 4*ell (walk[i+1] must take layer i+1, since layers i-1 and
+        # i are used): the trim starts at walk[3*ell]
         trim_y = walk_y[3 * ell: i_y + 1]
         trim_z = walk_z[3 * ell: i_z + 1]
         region = frozenset(trim_y) | frozenset(trim_z) | frozenset(link)

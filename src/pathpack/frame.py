@@ -329,11 +329,8 @@ def _frame_to_packing(g: Graph, fr: Frame) -> list[tuple[int, ...]]:
     finished: list[tuple[int, ...]] = [fr.model.branch_sets[x]
                                        for x in sorted(dc.v0)]
 
-    trimmed = fr.pattern.copy()
-    for x in sorted(dc.v0):
-        trimmed.remove_vertex(x)
-    marked = dc.v1 | dc.v2
-    routes = extract_z_paths(trimmed, marked)
+    # an isolated vertex is a tree with no marked vertex, so it gets no route
+    routes = extract_z_paths(fr.pattern, dc.v1 | dc.v2)
 
     for route in routes:
         first, last = route[0], route[-1]

@@ -86,12 +86,6 @@ class Graph:
                     out.append((u, v))
         return out
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
@@ -285,10 +279,10 @@ def least_far_pair(g: Graph, averts: Iterable[int],
     full sweeps bound every vertex's eccentricity within the set:
     ecc(v) <= d(s, v) + ecc(s) for every swept source s (Takes and Kosters,
     CIKM 2011).  Only vertices whose bound reaches threshold get a search
-    of their own.  Raises PreconditionError when some vertex is unreachable
-    from the least one.
+    of their own.  Raises InputError for an id outside g, and
+    PreconditionError when some vertex is unreachable from the least one.
     """
-    averts = sorted(set(averts))
+    averts = sorted(g.check_vertex_set(averts))
     if not averts:
         return None
     dm = distance_map(g, {averts[0]})

@@ -190,10 +190,6 @@ class FatModel:
     branch_sets: dict[int, Part] = field(default_factory=dict)
     branch_parts: dict[int, Part] = field(default_factory=dict)
 
-    def copy(self) -> "FatModel":
-        return FatModel(self.pattern.copy(), dict(self.branch_sets),
-                        dict(self.branch_parts))
-
     def all_elements(self) -> list[tuple[str, int, frozenset[int]]]:
         """Every model element as (kind, id, vertex set), deterministic order."""
         out = [("v", x, part_vertices(self.branch_sets[x]))

@@ -20,7 +20,9 @@ def far_pair(g: Graph, averts: Sequence[int],
              threshold: int) -> Optional[tuple[int, int]]:
     """Lexicographically least pair of the given vertices at distance at
     least threshold, or None.  The vertices must lie in one component;
-    raises PreconditionError when one is unreachable from the least."""
+    raises InputError for an id outside g, and PreconditionError when one
+    is unreachable from the least."""
+    g.check_vertex_set(averts)
     averts = sorted(averts)
     for idx, src in enumerate(averts):
         if idx == 0:

@@ -63,8 +63,19 @@ class TripodResult:
 
 
 def check_tripoid(g: Graph, t: Tripoid) -> list[str]:
-    """Violations of the tripoid invariants, empty when all hold."""
+    """Violations of the tripoid invariants, empty when all hold.
+
+    An id that is not a vertex of g is reported, and nothing is searched.
+    """
     out: list[str] = []
+    named = [("working region", t.c), ("q", t.q), ("tips", t.vs)]
+    named += [(f"leg {i}", (*leg.r, leg.w, *leg.b)) for i, leg in enumerate(t.legs)]
+    for name, ids in named:
+        for v in dict.fromkeys(ids):
+            if not (type(v) is int and 0 <= v < g.n):
+                out.append(f"{name}: {v!r} is not a vertex of the graph")
+    if out:
+        return out
     ell, d = t.ell, t.d
     if not t.c:
         out.append("working region is empty")

@@ -48,26 +48,28 @@ def test_spider_round_runs_no_whole_graph_search(monkeypatch):
     grow from terminals, so no round splits a region into components;
     fatness stops at the nearest element, so the distance maps left are
     the cleanness layers (one per branch set with an incident edge),
-    augment's, the far-pair searches and the round's approach map: 6, 3,
+    augment's, the far-pair searches and the round's approach map: 6, 1,
     2 and 1 calls on this solve."""
     g, a = make_instance("spider", 5000)
     counts = count_calls(monkeypatch, graph.components, graph.distance_map)
     solve(g, a, SolveParams(2, 1))
     assert counts["components"] == 0
-    assert counts["distance_map"] <= 12
+    assert counts["distance_map"] <= 10
 
 
 def test_round_decides_each_fact_once(monkeypatch):
     """The close-pair verdict comes from the candidates' far-pair search,
     an absorbing round runs no search on its approach path before augment
-    builds, and a tripod tip gets its distance and its leg from one
-    search: 42 dist and 1,209 ball calls on this spider solve, and no dist
-    on a path whose terminals are all close."""
-    counts = count_calls(monkeypatch, graph.dist, graph.ball)
+    builds, a tripod tip gets its distance and its leg from one search,
+    and augment finds the stub link and the fold path with the searches
+    that decide them: 41 dist, 1,209 ball and 1,205 st_path calls on this
+    spider solve, and no dist on a path whose terminals are all close."""
+    counts = count_calls(monkeypatch, graph.dist, graph.ball, graph.st_path)
     g, a = make_instance("spider", 5000)
     solve(g, a, SolveParams(2, 1))
-    assert counts["dist"] <= 42
+    assert counts["dist"] <= 41
     assert counts["ball"] <= 1209
+    assert counts["st_path"] <= 1205
     counts.clear()
     g, a = make_instance("path", 40, a_policy="all")
     solve(g, a, SolveParams(2, 1))
@@ -204,3 +206,36 @@ def test_broken_output_contract_raises_under_every_flag(flags):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == (
         "InternalInvariantError: fat_to_clean output is not clean")
+
+
+SOLVE_ALL = """
+from pathpack import FAMILIES, SolveParams, make_instance, solve
+from pathpack.fileio import certificate_to_json
+
+g, a = make_instance("spider", 5000)
+print(certificate_to_json(solve(g, a, SolveParams(2, 1)), SolveParams(2, 1)))
+for family in FAMILIES:
+    g, a = make_instance(family, 40)
+    for coarse in (False, True):
+        for k in (1, 2, 3):
+            params = SolveParams(k, 1, coarse)
+            cert = solve(g, a, params, validate=True)
+            print(certificate_to_json(cert, params))
+"""
+
+
+def test_certificates_are_the_same_under_python_o():
+    """The spider solve runs augment's junction branch; the small solves
+    cover every family, both modes and both certificate kinds."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONOPTIMIZE", None)
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", SOLVE_ALL],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    text = outs[0].decode()
+    kinds = [text.count(f'"type": "{kind}"') for kind in ("packing", "hitting")]
+    assert sum(kinds) == 1 + 6 * 2 * 3 and min(kinds) > 0

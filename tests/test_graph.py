@@ -379,6 +379,15 @@ class TestLeastFarPair:
         with pytest.raises(PreconditionError):
             least_far_pair(g, [0, 2, 3], 1)
 
+    @pytest.mark.parametrize("far", [least_far_pair, far_pair])
+    @pytest.mark.parametrize("averts", [[-1, 5], [0, 10], [5, True]])
+    def test_ids_outside_the_graph_raise_input_error(self, far, averts):
+        """-1 would be read as vertex 9 and pass as (-1, 5), and 10 would
+        be reported as lying in another component."""
+        g, _ = make_instance("path", 10)
+        with pytest.raises(InputError):
+            far(g, averts, 3)
+
     def test_duplicates_and_tiny_sets(self):
         g = path_graph(5)
         assert least_far_pair(g, [3, 3, 4], 1) == (3, 4)

@@ -361,6 +361,25 @@ class TestPreconditions:
         with pytest.raises(InputError):
             tripod_step(g, break_state(t))
 
+    @pytest.mark.parametrize("break_state, message", [
+        (lambda t: dataclasses.replace(t, c=frozenset({0, 100})),
+         "working region: 100 is not a vertex of the graph"),
+        (lambda t: dataclasses.replace(t, q=frozenset({0, -1})),
+         "q: -1 is not a vertex of the graph"),
+        (lambda t: dataclasses.replace(t, vs=(10, 20, 99)),
+         "tips: 99 is not a vertex of the graph"),
+        (lambda t: dataclasses.replace(t, legs=(
+            *t.legs[:2], t.legs[2]._replace(b=t.legs[2].b + (41,)))),
+         "leg 2: 41 is not a vertex of the graph")])
+    def test_check_reports_ids_outside_the_graph(self, break_state, message):
+        """check_tripoid reports an id outside the graph and searches
+        nothing: a region id of 100 would raise IndexError in the region
+        search, and q = {0, -1} would pass, since -1 indexes vertex 40."""
+        g, _ = make_instance("spider", 41)
+        t = init_tripoid(g, (10, 20, 30), frozenset({0}), 2, 10)
+        assert g.n == 41 and check_tripoid(g, t) == []
+        assert check_tripoid(g, break_state(t)) == [message]
+
 
 @pytest.mark.parametrize("hub", [frozenset(), frozenset({0, 20})])
 def test_bad_hub_is_reported_not_raised(hub):
