@@ -128,7 +128,7 @@ def validate_frame(g: Graph, fr: Frame) -> list[str]:
         out.append(f"counter i={fr.i} does not match structure value {expected}")
     if not _leaf_bound(dc):
         out.append("pattern violates the leaf/branching bound")
-    fat = _fatness(g, fr.model)
+    fat = _fatness(g, fr.model, fr.ell)
     if fat < fr.ell:
         out.append(f"model fatness {fat} below the frame scale {fr.ell}")
     for x in fr.pattern.vertex_ids():

@@ -314,16 +314,28 @@ def fatness(g: Graph, m: FatModel) -> int | float:
     pair counts, including edges sharing a pattern vertex.  Returns inf when
     no pair counts.  Raises PreconditionError if the model is invalid.
     """
-    bad = validate_model(g, m)
-    if bad:
-        raise PreconditionError(f"fatness of invalid model: {bad[0]}")
+    _refuse_invalid(g, m)
     return _fatness(g, m)
 
 
-def _fatness(g: Graph, m: FatModel) -> int | float:
-    """fatness of a model the caller has just validated."""
+def _refuse_invalid(g: Graph, m: FatModel) -> None:
+    """Raise the PreconditionError of fatness when m is not a valid model."""
+    bad = validate_model(g, m)
+    if bad:
+        raise PreconditionError(f"fatness of invalid model: {bad[0]}")
+
+
+def _fatness(g: Graph, m: FatModel, bound: int | float = inf) -> int | float:
+    """fatness of a model the caller has just validated, floored at bound.
+
+    Returns the exact fatness when it is below bound, and bound otherwise,
+    so `_fatness(g, m, q) >= q` iff m is q-fat, and a value below q is the
+    one fatness reports.  Each search is cut one below the least value
+    found so far, which starts at bound, so a caller that only compares
+    with a bound passes it and no search runs past it.
+    """
     elements = m.all_elements()
-    best: int | float = inf
+    best = bound
     for idx, (ka, ia, vsa) in enumerate(elements):
         # the least distance to the later elements is the distance to their
         # union, and one search that stops below best finds it
@@ -343,7 +355,7 @@ def _require_fat(g: Graph, m: FatModel, q: int, what: str) -> None:
     """Output check of a model a step has built: valid and q-fat."""
     bad = validate_model(g, m)
     require(not bad, f"{what} invalid: " + "; ".join(bad))
-    post = _fatness(g, m)
+    post = _fatness(g, m, q)
     require(post >= q, f"{what} fatness {post} below {q}")
 
 
@@ -421,7 +433,8 @@ def fat_to_clean(g: Graph, m: FatModel, q: int, ell: int) -> FatModel:
     """
     if not (q >= ell >= 1):
         raise PreconditionError(f"need q >= ell >= 1, got q={q}, ell={ell}")
-    measured = fatness(g, m)
+    _refuse_invalid(g, m)
+    measured = _fatness(g, m, q + 2 * ell)
     if measured < q + 2 * ell:
         raise PreconditionError(
             f"fat_to_clean needs a {q + 2 * ell}-fat model, measured fatness {measured}")

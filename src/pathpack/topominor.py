@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError, PreconditionError, require
 from .graph import Graph, ball, dist, has_radius_at_most, st_path
-from .model import FatModel, _require_fat, fatness, part_vertices
+from .model import (FatModel, _fatness, _refuse_invalid, _require_fat,
+                    part_vertices)
 from .tripod import tripod
 
 
@@ -23,7 +24,8 @@ def make_topological(g: Graph, m: FatModel, ell: int) -> FatModel:
     """
     if ell < 1:
         raise PreconditionError(f"scale must be positive, got {ell}")
-    fat = fatness(g, m)
+    _refuse_invalid(g, m)
+    fat = _fatness(g, m, 7 * ell)
     if fat < 7 * ell:
         raise PreconditionError(f"model fatness {fat} below 7*ell={7 * ell}")
 
@@ -48,7 +50,8 @@ def make_topological(g: Graph, m: FatModel, ell: int) -> FatModel:
         gates[(e, u)] = mid[0]
         gates[(e, v)] = mid[-1]
         middles[e] = mid
-        require(dist(g, bu, {mid[0]}) == 2 * ell and dist(g, bv, {mid[-1]}) == 2 * ell,
+        require(dist(g, bu, {mid[0]}, cutoff=2 * ell) == 2 * ell
+                and dist(g, bv, {mid[-1]}, cutoff=2 * ell) == 2 * ell,
                 f"middle of edge {e} does not start and end 2*ell from its branch sets")
 
     sets2: dict[int, frozenset[int]] = {}

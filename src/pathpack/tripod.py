@@ -105,7 +105,7 @@ def check_tripoid(g: Graph, t: Tripoid) -> list[str]:
             out.append(f"leg {i}: geodesic has length {len(leg.b) - 1}, expected {ell}")
         if any(x in t.c for x in leg.b[:-1]):
             out.append(f"leg {i}: geodesic re-enters the working region")
-        if dist(g, {leg.w}, t.c) != ell:
+        if dist(g, {leg.w}, t.c, cutoff=ell) != ell:
             out.append(f"leg {i}: anchor is not at distance exactly {ell} "
                        "from the working region")
         allowed = ball(g, {v}, d - ell - 1) | ball_q

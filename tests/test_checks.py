@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -43,10 +44,41 @@ def test_spider_round_checks_each_model_once(monkeypatch, validate):
     assert counts["validate_model"] <= 4
 
 
+@pytest.mark.parametrize("validate", [False, True])
+def test_spider_fatness_searches_stop_at_the_bound(monkeypatch, validate):
+    """Every fatness check of a solve compares with a bound it passes to
+    _fatness, so each of its searches has a finite cutoff, though the
+    spider's legs run for thousands of vertices."""
+    inside = []
+    cutoffs = []
+    fatness = model._fatness
+
+    def dist(*args, _fn=model.dist, **kwargs):
+        if inside:
+            cutoffs.append(kwargs.get("cutoff"))
+        return _fn(*args, **kwargs)
+
+    def _fatness(*args):
+        inside.append(True)
+        try:
+            return fatness(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(model, "dist", dist)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("pathpack") and vars(mod).get("_fatness") is fatness:
+            monkeypatch.setattr(mod, "_fatness", _fatness)
+    g, a = make_instance("spider", 5000)
+    solve(g, a, SolveParams(2, 1), validate=validate)
+    assert cutoffs
+    assert all(c is not None and c < inf for c in cutoffs), cutoffs
+
+
 def test_spider_round_runs_no_whole_graph_search(monkeypatch):
     """Connectivity is one search over the set and candidate components
     grow from terminals, so no round splits a region into components;
-    fatness stops at the nearest element, so the distance maps left are
+    fatness stops at its bound, so the distance maps left are
     the cleanness layers (one per branch set with an incident edge),
     augment's, the far-pair searches and the round's approach map: 6, 1,
     2 and 1 calls on this solve."""

@@ -6,8 +6,8 @@ import pytest
 
 import pathpack.cli
 from helpers import k2_path_model, path_graph
-from pathpack import (InternalInvariantError, certificate_violations, fileio,
-                      make_instance)
+from pathpack import (InternalInvariantError, certificate_violations, fatness,
+                      fileio, make_instance)
 from pathpack.cli import main
 from pathpack.generate import FAMILIES
 from pathpack.graph import MAX_VERTICES
@@ -361,6 +361,9 @@ class TestModelCommands:
         rc = main(["topo", "--graph", gp, "--model", mp, "--ell", "5",
                    "--out", str(out)])
         assert rc == 0
-        assert "fatness" in capsys.readouterr().err
         m2 = fileio.read_model(str(out))
+        g = fileio.read_graph(gp)
+        # the exact value, well above the ell that make_topological keeps
+        assert fatness(g, m2) > 5
+        assert f"fatness {fatness(g, m2)}" in capsys.readouterr().err.splitlines()
         assert m2.pattern.edge_ids() == [0]

@@ -1,6 +1,7 @@
 """Source checks: every module keeps every invariant under python -O,
 host-graph searches live in graph.py, Graph.__init__ alone builds a graph,
-and the solver calls no public step that checks its input.
+the solver calls no public step that checks its input, and only the
+exact reports call _fatness without a bound.
 
 A bare assert and an `if __debug__:` block both vanish when Python runs
 with -O, so an invariant kept that way silently stops being checked.  An
@@ -196,3 +197,43 @@ def test_checked_step_detector_sees_plain_and_module_calls():
               "def other(g):\n    is_clean(g)\n")
     assert checked_step_calls(source, {"solve", "_round"}) == [
         "line 2: fat_to_clean", "line 4: augment"]
+
+
+def fatness_calls(source: str) -> list[str]:
+    """Every _fatness call in the given source as "function: bounded" or
+    "function: exact", after the top-level function or method that holds
+    it and whether it passes a bound."""
+    out = []
+    for top in ast.parse(source).body:
+        defs = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in defs:
+            for sub in ast.walk(node):
+                if not isinstance(sub, ast.Call):
+                    continue
+                fn = sub.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name != "_fatness":
+                    continue
+                bounded = len(sub.args) >= 3 or any(
+                    kw.arg == "bound" for kw in sub.keywords)
+                out.append(f"{node.name}: {'bounded' if bounded else 'exact'}")
+    return out
+
+
+# fatness and pathpack topo report the exact value; every check compares
+# with a bound, so it passes that bound and its searches stop there
+EXACT_FATNESS = {"model": ["fatness: exact"], "cli": ["_cmd_topo: exact"]}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_fatness_checks_pass_their_bound(module):
+    calls = fatness_calls((SRC / f"{module}.py").read_text())
+    assert [c for c in calls if c.endswith("exact")] == EXACT_FATNESS.get(module, [])
+
+
+def test_fatness_detector_tells_bounded_from_exact():
+    source = ("def f(g, m):\n    return _fatness(g, m)\n"
+              "def h(g, m, q):\n    model._fatness(g, m, q)\n"
+              "    _fatness(g, m, bound=q)\n"
+              "class C:\n    def k(self, g, m):\n        fatness(g, m)\n")
+    assert fatness_calls(source) == ["f: exact", "h: bounded", "h: bounded"]

@@ -14,9 +14,11 @@ from pathpack import (
     PatternGraph,
     PreconditionError,
     SolveParams,
+    augment,
     dist,
     frame,
     make_instance,
+    make_topological,
     solve,
 )
 from pathpack.model import (
@@ -382,8 +384,13 @@ def scattered_models():
         yield g, FatModel(PatternGraph.from_parts(sets, {}), sets, {})
 
 
-def solver_models(monkeypatch):
-    """The model of every frame that small solves build."""
+def solver_models(monkeypatch, solves=None):
+    """The model of every frame that the given solves build, by default
+    small solves of every family and terminal policy."""
+    if solves is None:
+        solves = [(make_instance(family, 60, seed=1, a_policy=policy), k)
+                  for family in FAMILIES for policy in A_POLICIES
+                  for k in (2, 3)]
     out = []
     check = frame.validate_frame
 
@@ -391,11 +398,8 @@ def solver_models(monkeypatch):
         out.append((g, fr.model))
         return check(g, fr)
     monkeypatch.setattr(frame, "validate_frame", record)
-    for family in FAMILIES:
-        for policy in A_POLICIES:
-            g, a = make_instance(family, 60, seed=1, a_policy=policy)
-            for k in (2, 3):
-                solve(g, a, SolveParams(k, 1))
+    for (g, a), k in solves:
+        solve(g, a, SolveParams(k, 1))
     monkeypatch.undo()
     return out
 
@@ -406,3 +410,47 @@ def test_fatness_matches_brute_force(monkeypatch):
     for g, m in cases:
         assert validate_model(g, m) == []
         assert _fatness(g, m) == brute_fatness(g, m)
+
+
+def test_fatness_floor_decides_the_bound(monkeypatch):
+    """_fatness(g, m, b) reaches b exactly when the model is b-fat, and a
+    value below b is the exact fatness, at the bounds on either side of
+    the exact value as well as 0, 1 and inf; the spider's frames are those
+    of the first rung of the benchmark's spider ladder."""
+    spider = [(make_instance("spider", 5000, seed=1, a_policy="endpoints"), 2)]
+    cases = [*helper_models(), *scattered_models(), *solver_models(monkeypatch),
+             *solver_models(monkeypatch, spider)]
+    floored = 0
+    for g, m in cases:
+        exact = brute_fatness(g, m)
+        assert fatness(g, m) == exact
+        for b in (0, 1, exact, exact + 1, inf):
+            got = _fatness(g, m, b)
+            assert (got >= b) == (exact >= b)
+            if got < b:
+                assert got == exact
+            else:
+                floored += got < exact
+    assert floored > 0
+
+
+@pytest.mark.parametrize("step, bound_text", [
+    (lambda g, m: fat_to_clean(g, m, 8, 4),
+     "fat_to_clean needs a 16-fat model, measured fatness 11"),
+    (lambda g, m: augment(g, m, 0, 0, (0,), 2),
+     "augment needs an 16-fat model, measured fatness 11"),
+    (lambda g, m: make_topological(g, m, 2), "model fatness 11 below 7*ell=14"),
+])
+def test_public_steps_report_exact_fatness_and_invalid_models(step, bound_text):
+    """A step decides its precondition with a bound, yet reports the exact
+    fatness below it, and refuses an invalid model as fatness does."""
+    g, m = k2_path_model(12)
+    with pytest.raises(PreconditionError) as exc:
+        step(g, m)
+    assert str(exc.value) == bound_text
+    bad = FatModel(m.pattern, {0: frozenset({0}), 1: frozenset({11, 30})},
+                   dict(m.branch_parts))
+    with pytest.raises(PreconditionError) as exc:
+        step(g, bad)
+    assert str(exc.value) == ("fatness of invalid model: branch part of "
+                              "vertex 1 has out-of-range ids [30]")
