@@ -325,12 +325,16 @@ def _frame_to_packing(g: Graph, fr: Frame) -> list[tuple[int, ...]]:
     if fr.i % 2 != 1:
         raise PreconditionError(f"counter must be odd to unwind, got {fr.i}")
     t = (fr.i + 1) // 2
-    dc = degree_classes(fr.pattern)
+    pattern = fr.pattern
     finished: list[tuple[int, ...]] = [fr.model.branch_sets[x]
-                                       for x in sorted(dc.v0)]
+                                       for x in pattern.vertex_ids()
+                                       if pattern.degree(x) == 0]
 
-    # an isolated vertex is a tree with no marked vertex, so it gets no route
-    routes = extract_z_paths(fr.pattern, dc.v1 | dc.v2)
+    # an isolated vertex is a tree with no marked vertex, so it gets no
+    # route; the classes come from degrees, since degree_classes would
+    # search the components that extract_z_paths's forest check searches
+    routes = extract_z_paths(pattern, frozenset(
+        x for x in pattern.vertex_ids() if 1 <= pattern.degree(x) <= 2))
 
     for route in routes:
         first, last = route[0], route[-1]

@@ -9,14 +9,16 @@ vertex per round.
 
 Cost: tripod() runs every round on one mutable copy of the state.  Each
 closeness test has a geodesic of ell+1 vertices on one side, so it is a
-disjointness test against an (ell-1)-ball around that geodesic, kept per
-leg.  Round 1 tests every tail and every pair of geodesics.  A later round
-tests only the moved leg's new end: after a slide, the one vertex the
-slide added to its geodesic, and after a rebuild, the whole new geodesic.
-A round then costs one (ell-1)-ball, around one vertex on a slide, and one
-st_path of depth ell from the moved anchor into the uncopied region, not
-time in the size of the tails or of the region, except when removing a
-region endpoint that is not an induced leaf, which searches the region
+disjointness test against an (ell-1)-ball around a geodesic, kept per leg.
+Round 1 balls and tests every tail and every pair of geodesics.  A later
+round tests only the moved leg's new end against the other legs' balls:
+after a slide, whether the one vertex the slide added lies in them, and
+after a rebuild, the whole new geodesic, which it then balls for the
+tails.  A slide builds no ball; its leg's ball is brought up to date once,
+when another leg moves.  So a slide round costs one st_path of depth ell
+from the moved anchor into the uncopied region and a membership test,
+not time in the size of the tails or of the region, except when removing
+a region endpoint that is not an induced leaf, which searches the region
 left behind once (graph._take_component).
 """
 
@@ -192,11 +194,14 @@ def _rounds(g: Graph, t: Tripoid,
     from a caller.  A round that does not finish leaves every tail at least
     ell from every other geodesic and the geodesics pairwise at least ell
     apart, and then moves one leg, which becomes xi.  So a later round
-    tests only leg xi: near[xi] against the other tails and the other two
-    geodesics.  When the leg slid, its geodesic b[1:] + (m,) shares b[1:]
-    with the geodesic just found far from everything, and its tail gained
-    b[1], so near[xi] is the ball around m alone; a rebuilt geodesic gets
-    its full ball.
+    tests only leg xi: its geodesic against near[j] of the other two legs,
+    and after a rebuild near[xi] against the other tails.  When the leg
+    slid, its geodesic b[1:] + (m,) shares b[1:] with the geodesic just
+    found far from everything, and its tail gained b[1], so only m is
+    tested; m is a region vertex, which every tail stays ell away from, so
+    no tail is tested.  A slide leaves near[xi] as it was, and it is
+    rebuilt around the whole geodesic when another leg moves, so near[j]
+    is up to date for every leg but a sliding xi.
     """
     ell = t.ell
     adj = g.adj
@@ -207,11 +212,13 @@ def _rounds(g: Graph, t: Tripoid,
     ws = [leg.w for leg in t.legs]
     bs = [leg.b for leg in t.legs]
     near = [ball(g, b, ell - 1) for b in bs]
+    slid = False
 
     for rounds in range(1, limit + 1):
-        # a tail near geodesic xi finishes with hub = that geodesic plus a link
+        # a tail near geodesic xi finishes with hub = that geodesic plus a
+        # link; a slide only adds a region vertex, which no tail is near
         for alpha in range(3):
-            if alpha == xi or near[xi].isdisjoint(tail_sets[alpha]):
+            if slid or alpha == xi or near[xi].isdisjoint(tail_sets[alpha]):
                 continue
             link = st_path(g, tail_sets[alpha], bs[xi])
             require(link is not None and len(link) - 1 < ell,
@@ -227,10 +234,12 @@ def _rounds(g: Graph, t: Tripoid,
                     "a tail is near a geodesic after the near-xi scan")
 
         # two close geodesics finish with hub = both geodesics plus a link;
-        # after round 1 only the pairs holding xi can have come close
+        # after round 1 only the pairs holding xi can have come close, and
+        # after a slide only through the vertex it added
+        moved = bs[xi][-1:] if slid else bs[xi]
         for alpha, beta in ((0, 1), (0, 2), (1, 2)):
             if xi == alpha or xi == beta:
-                if near[xi].isdisjoint(bs[alpha + beta - xi]):
+                if near[alpha + beta - xi].isdisjoint(moved):
                     continue
             elif rounds > 1 or near[alpha].isdisjoint(bs[beta]):
                 continue
@@ -264,8 +273,11 @@ def _rounds(g: Graph, t: Tripoid,
             raise InternalInvariantError(
                 "no region endpoint leaves the other two connected")
 
+        if slid and alpha != xi:
+            near[xi] = ball(g, bs[xi], ell - 1)
         b_new = st_path(g, (ws[alpha],), c, cutoff=ell)
-        if b_new is None:
+        slid = b_new is None
+        if slid:
             # the anchor is now farther than ell: slide it one step along b
             cand = [x for x in adj[cs[alpha]] if x in c]
             require(bool(cand), "new region has no neighbor of the removed endpoint")
@@ -275,7 +287,6 @@ def _rounds(g: Graph, t: Tripoid,
             ws[alpha] = w2
             m = min(cand)
             bs[alpha] = bs[alpha][1:] + (m,)
-            near[alpha] = ball(g, (m,), ell - 1)
         else:
             require(len(b_new) - 1 >= ell,
                     f"anchor {ws[alpha]} is closer than {ell} to the new region")

@@ -92,20 +92,51 @@ def test_spider_round_runs_no_whole_graph_search(monkeypatch):
 def test_round_decides_each_fact_once(monkeypatch):
     """The close-pair verdict comes from the candidates' far-pair search,
     an absorbing round runs no search on its approach path before augment
-    builds, a tripod tip gets its distance and its leg from one search,
-    and augment finds the stub link and the fold path with the searches
-    that decide them: 41 dist, 1,209 ball and 1,205 st_path calls on this
-    spider solve, and no dist on a path whose terminals are all close."""
+    builds, a tripod tip gets its distance and its leg from one search, a
+    junction slide builds no ball, and augment finds the stub link and the
+    fold path with the searches that decide them: 41 dist, 23 ball and
+    1,205 st_path calls on this spider solve, and no dist on a path whose
+    terminals are all close."""
     counts = count_calls(monkeypatch, graph.dist, graph.ball, graph.st_path)
     g, a = make_instance("spider", 5000)
     solve(g, a, SolveParams(2, 1))
     assert counts["dist"] <= 41
-    assert counts["ball"] <= 1209
+    assert counts["ball"] <= 23
     assert counts["st_path"] <= 1205
     counts.clear()
     g, a = make_instance("path", 40, a_policy="all")
     solve(g, a, SolveParams(2, 1))
     assert counts["dist"] == 0
+
+
+def test_unwinding_searches_the_pattern_components_once(monkeypatch):
+    """_frame_to_packing takes the isolated and the marked pattern
+    vertices from their degrees, so the only component search of an unwind
+    is extract_z_paths's forest check."""
+    unwinds = []
+    inside = []
+
+    def components(self, _fn=model.PatternGraph.components):
+        if inside:
+            unwinds[-1] += 1
+        return _fn(self)
+
+    def _frame_to_packing(g, fr, _fn=frame._frame_to_packing):
+        unwinds.append(0)
+        inside.append(fr)
+        try:
+            return _fn(g, fr)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(model.PatternGraph, "components", components)
+    monkeypatch.setattr(frame, "_frame_to_packing", _frame_to_packing)
+    for family in pathpack.FAMILIES:
+        for k in (1, 2, 3):
+            g, a = make_instance(family, 40)
+            solve(g, a, SolveParams(k, 1))
+    assert len(unwinds) == 7
+    assert unwinds == [1] * len(unwinds)
 
 
 def test_round_skips_the_searches_its_sizes_decide(monkeypatch):

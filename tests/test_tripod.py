@@ -141,9 +141,10 @@ def finish_kind(g, t):
 def run_stepwise(g, vs, q, ell, d):
     """Drive the construction one step at a time, revalidating the
     invariants after every step.  Returns the result, the step count, the
-    set of shrink branches taken and how the run finished: the finish
-    kind, and the geodesic branch of the round before (None if the first
-    round finished)."""
+    set of shrink branches taken (with "leg change after a slide" when a
+    round moves another leg than the round before, which slid) and how the
+    run finished: the finish kind, and the geodesic branch of the round
+    before (None if the first round finished)."""
     state = init_tripoid(g, vs, q, ell, d)
     assert check_tripoid(g, state) == []
     steps = 0
@@ -159,6 +160,8 @@ def run_stepwise(g, vs, q, ell, d):
         assert check_tripoid(g, nxt) == []
         moves = shrink_branches(g, state, nxt)
         branches.update(moves)
+        if last == "geodesic slide" and nxt.xi != state.xi:
+            branches.add("leg change after a slide")
         last = moves[1]
         state = nxt
 
@@ -198,7 +201,9 @@ def test_driver_matches_stepwise_on_generated():
     runs must also finish, after more than one round, in each way that
     leans on that: a tail near the moved geodesic (near_tail_instance), a
     close pair whose higher index moved, and a finish right after a
-    rebuilt geodesic (both fork instances)."""
+    rebuilt geodesic (both fork instances).  A leg that slid keeps a
+    stale ball until another leg moves, so the runs must also move another
+    leg right after a slide."""
     instances = list(generated_tripod_instances())
     instances += [random_core_instance(random.Random(seed)) for seed in range(100)]
     instances += [near_tail_instance(), near_geodesic_instance()]
@@ -210,12 +215,13 @@ def test_driver_matches_stepwise_on_generated():
         if last is not None:
             finishes |= {kind, "after " + last}
     assert branches == {"leaf removal", "component replacement",
-                        "geodesic slide", "geodesic rebuild"}
+                        "geodesic slide", "geodesic rebuild",
+                        "leg change after a slide"}
     assert {"near xi", "pair, xi higher", "after geodesic rebuild"} <= finishes
 
 
 def record_round_balls(monkeypatch):
-    """Record the source count of every (ell-1)-ball that tripod's rounds
+    """Record the sources of every (ell-1)-ball that tripod's rounds
     build, one list per tripod call, with the call's result."""
     module = importlib.import_module("pathpack.tripod")
     real_ball = module.ball
@@ -224,7 +230,7 @@ def record_round_balls(monkeypatch):
     def recording_ball(g, x, r):
         x = tuple(x)
         if runs and r == runs[-1][0] - 1:
-            runs[-1][1].append(len(x))
+            runs[-1][1].append(x)
         return real_ball(g, x, r)
 
     def recording_tripod(g, vs, q, ell, d):
@@ -238,23 +244,34 @@ def record_round_balls(monkeypatch):
     return runs, recording_tripod
 
 
-@pytest.mark.parametrize("case", ["prong", "spider 5000"])
-def test_slide_rounds_ball_the_new_end_alone(monkeypatch, case):
-    """Every round of these runs slides its leg.  Round 1 balls the three
-    geodesics; each later round balls only the vertex the slide added to
-    its leg's geodesic.  The round counts are those of the full tests."""
+@pytest.mark.parametrize("case", ["prong", "spider 5000", "fork"])
+def test_slide_rounds_build_no_ball(monkeypatch, case):
+    """Round 1 balls the three geodesics.  A slide builds no ball: the
+    next round tests the one vertex it added against the other legs'
+    balls.  So every round of the prong and spider runs, which all slide
+    one leg, builds no ball after round 1.  In the fork run, leg 0 slides
+    six times and leg 1 is then rebuilt: that round balls leg 0's whole
+    geodesic once, to catch up on its slides, and leg 1's new geodesic.
+    The round counts are those of the full tests."""
     runs, run = record_round_balls(monkeypatch)
     if case == "prong":
         run(*prong_instance())
         want = 198
-    else:
+    elif case == "spider 5000":
         g, a = make_instance("spider", 5000)
         solve(g, a, SolveParams(2, 1))
         want = 1187
+    else:
+        run(*near_geodesic_instance())
+        want = 8
     assert len(runs) == 1
-    ell, sizes, res = runs[0]
+    ell, balls, res = runs[0]
     assert res.iterations == want
-    assert sizes == [ell + 1] * 3 + [1] * (res.iterations - 1)
+    if case != "fork":
+        assert [len(x) for x in balls] == [ell + 1] * 3
+    else:
+        assert balls == [(15, 14, 0), (18, 17, 9), (22, 21, 12),
+                         (4, 5, 6), (18, 19, 8)]
 
 
 def test_spider_frozen_outcome():
