@@ -15,9 +15,8 @@ from typing import Optional
 from .errors import InternalInvariantError, PreconditionError, require
 from .graph import (Graph, UNREACHABLE, ball, dist, distance_map,
                     has_radius_at_most, is_path, st_path)
-from .model import (FatModel, Part, PatternGraph, _fatness, _layered,
-                    _refuse_invalid, _require_fat, _simplicity_violations,
-                    part_vertices)
+from .model import (FatModel, Part, PatternGraph, _layered, _refuse_thin,
+                    _require_fat, _simplicity_violations, part_vertices)
 from .tripod import tripod
 
 
@@ -69,11 +68,7 @@ def augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
     if p[0] != a:
         raise PreconditionError(f"p must start at {a}, starts at {p[0]}")
 
-    _refuse_invalid(g, m)
-    measured = _fatness(g, m, 8 * ell)
-    if measured < 8 * ell:
-        raise PreconditionError(
-            f"augment needs an {8 * ell}-fat model, measured fatness {measured}")
+    _refuse_thin(g, m, 8 * ell, "augment")
     # m is valid, so simplicity and layers are all that is left
     if _simplicity_violations(m) or not _layered(g, m, 4 * ell):
         raise PreconditionError(f"augment needs a {4 * ell}-clean model")

@@ -329,26 +329,15 @@ def components(g: Graph, sub: Iterable[int]) -> list[frozenset[int]]:
 
     Returned in ascending order of least vertex id.
     """
-    remaining = set(sub)
-    adj = g.adj
-    out: list[frozenset[int]] = []
-    for start in sorted(remaining):
-        if start not in remaining:
-            continue
-        comp = {start}
-        remaining.discard(start)
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v in remaining:
-                        remaining.discard(v)
-                        comp.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        out.append(frozenset(comp))
-    return out
+    return _components(g.adj, sub)
+
+
+def _components(adj, sub: Iterable[int]) -> list[frozenset[int]]:
+    """Components of the subgraph that adj induces on sub, ordered by least
+    vertex id.  adj maps a vertex to its neighbours, as in _take_component."""
+    rest = set(sub)
+    return [frozenset(_take_component(adj, v, rest))
+            for v in sorted(rest) if v in rest]
 
 
 def _take_component(adj, v: int, rest: set[int]) -> list[int]:

@@ -14,7 +14,7 @@ from math import floor, inf
 from typing import Iterable, Optional, Union
 
 from .errors import InputError, PreconditionError, require
-from .graph import (Graph, UNREACHABLE, _connected, _take_component, ball, dist,
+from .graph import (Graph, UNREACHABLE, _components, _connected, ball, dist,
                     distance_map, is_path, st_path)
 
 # A branch part: ordered path (tuple) or unordered connected set (frozenset).
@@ -101,9 +101,7 @@ class PatternGraph:
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by least vertex id."""
-        rest = set(self._adj)
-        return [frozenset(_take_component(self._adj, v, rest))
-                for v in sorted(rest) if v in rest]
+        return _components(self._adj, self._adj)
 
     # -- mutations -------------------------------------------------------
 
@@ -325,6 +323,17 @@ def _refuse_invalid(g: Graph, m: FatModel) -> None:
         raise PreconditionError(f"fatness of invalid model: {bad[0]}")
 
 
+def _refuse_thin(g: Graph, m: FatModel, q: int, what: str) -> None:
+    """Raise the PreconditionError of step `what`, which needs a valid
+    q-fat model: fatness's for an invalid m, and one naming q and the
+    exact fatness below it for a valid m that is not q-fat."""
+    _refuse_invalid(g, m)
+    measured = _fatness(g, m, q)
+    if measured < q:
+        raise PreconditionError(
+            f"{what} needs fatness at least {q}, measured fatness {measured}")
+
+
 def _fatness(g: Graph, m: FatModel, bound: int | float = inf) -> int | float:
     """fatness of a model the caller has just validated, floored at bound.
 
@@ -433,11 +442,7 @@ def fat_to_clean(g: Graph, m: FatModel, q: int, ell: int) -> FatModel:
     """
     if not (q >= ell >= 1):
         raise PreconditionError(f"need q >= ell >= 1, got q={q}, ell={ell}")
-    _refuse_invalid(g, m)
-    measured = _fatness(g, m, q + 2 * ell)
-    if measured < q + 2 * ell:
-        raise PreconditionError(
-            f"fat_to_clean needs a {q + 2 * ell}-fat model, measured fatness {measured}")
+    _refuse_thin(g, m, q + 2 * ell, "fat_to_clean")
     return _fat_to_clean(g, m, q, ell)
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError, PreconditionError, require
 from .graph import Graph, ball, dist, has_radius_at_most, st_path
-from .model import (FatModel, _fatness, _refuse_invalid, _require_fat,
-                    part_vertices)
+from .model import FatModel, _refuse_thin, _require_fat, part_vertices
 from .tripod import tripod
 
 
@@ -24,10 +23,7 @@ def make_topological(g: Graph, m: FatModel, ell: int) -> FatModel:
     """
     if ell < 1:
         raise PreconditionError(f"scale must be positive, got {ell}")
-    _refuse_invalid(g, m)
-    fat = _fatness(g, m, 7 * ell)
-    if fat < 7 * ell:
-        raise PreconditionError(f"model fatness {fat} below 7*ell={7 * ell}")
+    _refuse_thin(g, m, 7 * ell, "make_topological")
 
     pattern = m.pattern
     # middle stretch of every branch path, ending exactly 2*ell from

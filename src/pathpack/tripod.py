@@ -25,7 +25,7 @@ left behind once (graph._take_component).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import InternalInvariantError, PreconditionError, require
 from .graph import (Graph, UNREACHABLE, _connected, _take_component, ball,
@@ -64,15 +64,21 @@ class TripodResult:
     iterations: int = 0
 
 
+def _named_ids(t: Tripoid) -> list[tuple[str, Iterable]]:
+    """Every field of t that holds vertex ids, with the name that
+    check_tripoid reports it under; tripod_step screens the same ids."""
+    named = [("working region", t.c), ("q", t.q), ("tips", t.vs)]
+    named += [(f"leg {i}", (*leg.r, leg.w, *leg.b)) for i, leg in enumerate(t.legs)]
+    return named
+
+
 def check_tripoid(g: Graph, t: Tripoid) -> list[str]:
     """Violations of the tripoid invariants, empty when all hold.
 
     An id that is not a vertex of g is reported, and nothing is searched.
     """
     out: list[str] = []
-    named = [("working region", t.c), ("q", t.q), ("tips", t.vs)]
-    named += [(f"leg {i}", (*leg.r, leg.w, *leg.b)) for i, leg in enumerate(t.legs)]
-    for name, ids in named:
+    for name, ids in _named_ids(t):
         for v in dict.fromkeys(ids):
             if not (type(v) is int and 0 <= v < g.n):
                 out.append(f"{name}: {v!r} is not a vertex of the graph")
@@ -186,9 +192,10 @@ def _rounds(g: Graph, t: Tripoid,
 
     Returns the result and the number of rounds it took, or the state after
     limit rounds and limit.  The rounds work on a mutable copy of t: the
-    region is a set, each tail a list with a membership set, and near[j]
-    is an (ell-1)-ball around geodesic j, so every closeness test is a
-    disjointness test against a ball.
+    region is a set, each tail a list with a membership set, each anchor
+    the first vertex of its leg's geodesic, and near[j] is an (ell-1)-ball
+    around geodesic j, so every closeness test is a disjointness test
+    against a ball.
 
     Round 1 tests every tail and every pair of geodesics, since t comes
     from a caller.  A round that does not finish leaves every tail at least
@@ -209,7 +216,6 @@ def _rounds(g: Graph, t: Tripoid,
     xi = t.xi
     tails = [list(leg.r) for leg in t.legs]
     tail_sets = [set(leg.r) for leg in t.legs]
-    ws = [leg.w for leg in t.legs]
     bs = [leg.b for leg in t.legs]
     near = [ball(g, b, ell - 1) for b in bs]
     slid = False
@@ -275,7 +281,7 @@ def _rounds(g: Graph, t: Tripoid,
 
         if slid and alpha != xi:
             near[xi] = ball(g, bs[xi], ell - 1)
-        b_new = st_path(g, (ws[alpha],), c, cutoff=ell)
+        b_new = st_path(g, bs[alpha][:1], c, cutoff=ell)
         slid = b_new is None
         if slid:
             # the anchor is now farther than ell: slide it one step along b
@@ -284,18 +290,17 @@ def _rounds(g: Graph, t: Tripoid,
             w2 = bs[alpha][1]
             tails[alpha].append(w2)
             tail_sets[alpha].add(w2)
-            ws[alpha] = w2
             m = min(cand)
             bs[alpha] = bs[alpha][1:] + (m,)
         else:
             require(len(b_new) - 1 >= ell,
-                    f"anchor {ws[alpha]} is closer than {ell} to the new region")
+                    f"anchor {bs[alpha][0]} is closer than {ell} to the new region")
             bs[alpha] = b_new
             near[alpha] = ball(g, b_new, ell - 1)
         xi = alpha
         require(len(c) < size, "working region did not shrink")
 
-    legs = [Leg(r=tuple(tails[i]), w=ws[i], b=bs[i]) for i in range(3)]
+    legs = [Leg(r=tuple(tails[i]), w=bs[i][0], b=bs[i]) for i in range(3)]
     return Tripoid(c=frozenset(c), xi=xi, legs=(legs[0], legs[1], legs[2]),
                    q=t.q, vs=t.vs, ell=ell, d=t.d), limit
 
@@ -309,7 +314,7 @@ def tripod_step(g: Graph, t: Tripoid) -> Union[TripodResult, Tripoid]:
     Raises InputError for a vertex outside g, as init_tripoid does, and
     PreconditionError naming the first violated invariant of t.
     """
-    g.check_vertex_set((*t.vs, *(leg.w for leg in t.legs), *t.c, *t.q))
+    g.check_vertex_set(v for _, ids in _named_ids(t) for v in ids)
     bad = check_tripoid(g, t)
     if bad:
         raise PreconditionError(f"invalid tripoid: {bad[0]}")

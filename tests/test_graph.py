@@ -4,7 +4,7 @@ from collections import deque
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathpack.graph as graph_module
@@ -484,6 +484,30 @@ def grown_set(g: Graph, rng: random.Random, size: int) -> set[int]:
     return sub
 
 
+def reference_components(g: Graph, sub: set[int]) -> list[frozenset[int]]:
+    """Components of g[sub] by the plain reference BFS on a copy of the
+    induced subgraph, ordered by least vertex id."""
+    h = Graph(g.n, [(u, v) for u, v in g.edges() if u in sub and v in sub])
+    out: list[frozenset[int]] = []
+    for v in sorted(sub):
+        if not any(v in comp for comp in out):
+            out.append(frozenset(bfs_dists(h, v)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 41))
+@example(0, 0)
+@example(0, 41)
+def test_components_matches_reference(seed, size):
+    """Random sets of every size, from the empty set to all of V (size 41
+    on 40 vertices), so that sets fall apart into many components."""
+    g = random_graph(seed)
+    rng = random.Random(seed)
+    sub = set(range(g.n)) if size > g.n else set(rng.sample(range(g.n), size))
+    assert components(g, sub) == reference_components(g, sub)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 40), st.integers(0, 3))
 def test_connected_matches_components(seed, size, cuts):
@@ -495,7 +519,7 @@ def test_connected_matches_components(seed, size, cuts):
     sub = grown_set(g, rng, size) if size else set()
     for _ in range(min(cuts, len(sub))):
         sub.discard(rng.choice(sorted(sub)))
-    comps = components(g, sub)
+    comps = reference_components(g, sub)
     want = len(comps) == 1
     assert graph_module._connected(g, sub) == want
     assert graph_module._connected(g, frozenset(sub)) == want

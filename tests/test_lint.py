@@ -1,7 +1,8 @@
 """Source checks: every module keeps every invariant under python -O,
 host-graph searches live in graph.py, Graph.__init__ alone builds a graph,
-the solver calls no public step that checks its input, and only the
-exact reports call _fatness without a bound.
+the solver calls no public step that checks its input, only the exact
+reports call _fatness without a bound, and the verifiers import a pinned
+set of names from graph.py.
 
 A bare assert and an `if __debug__:` block both vanish when Python runs
 with -O, so an invariant kept that way silently stops being checked.  An
@@ -108,6 +109,44 @@ def test_adjacency_detector_names_the_reading_functions():
               "def h(tree):\n    return tree.adj\n"
               "class C:\n    def m(self, g):\n        adj = g.adj\n")
     assert host_adjacency_readers(source) == ["f", "m"]
+
+
+def graph_imports(source: str) -> set[str]:
+    """Names the given source imports from graph.py; an import of the
+    module itself counts as its dotted name, since it reaches every name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("graph", "pathpack.graph"):
+                out |= {alias.name for alias in node.names}
+            elif node.module in (None, "pathpack"):
+                out |= {f"{node.module or ''}.graph" for alias in node.names
+                        if alias.name == "graph"}
+        elif isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names
+                    if alias.name == "pathpack.graph"}
+    return out
+
+
+# what the verifiers share with the solver's searches; the oracle's own
+# kernel (ROADMAP item 3) is to shrink this to Graph alone
+ORACLE_GRAPH_IMPORTS = {"Graph", "UNREACHABLE", "ball", "components", "dist",
+                        "distance_map", "is_path"}
+
+
+def test_oracle_imports_only_the_pinned_graph_names():
+    assert graph_imports((SRC / "oracle.py").read_text()) == ORACLE_GRAPH_IMPORTS
+
+
+@pytest.mark.parametrize("planted, name", [
+    ("from .graph import _take_component", "_take_component"),
+    ("from pathpack.graph import st_path as path", "st_path"),
+    ("from . import graph", ".graph"),
+    ("from pathpack import graph", "pathpack.graph"),
+    ("import pathpack.graph", "pathpack.graph")])
+def test_graph_import_detector_sees_a_planted_import(planted, name):
+    source = (SRC / "oracle.py").read_text() + planted + "\n"
+    assert graph_imports(source) == ORACLE_GRAPH_IMPORTS | {name}
 
 
 def graph_builders(source: str) -> list[str]:

@@ -436,10 +436,11 @@ def test_fatness_floor_decides_the_bound(monkeypatch):
 
 @pytest.mark.parametrize("step, bound_text", [
     (lambda g, m: fat_to_clean(g, m, 8, 4),
-     "fat_to_clean needs a 16-fat model, measured fatness 11"),
+     "fat_to_clean needs fatness at least 16, measured fatness 11"),
     (lambda g, m: augment(g, m, 0, 0, (0,), 2),
-     "augment needs an 16-fat model, measured fatness 11"),
-    (lambda g, m: make_topological(g, m, 2), "model fatness 11 below 7*ell=14"),
+     "augment needs fatness at least 16, measured fatness 11"),
+    (lambda g, m: make_topological(g, m, 2),
+     "make_topological needs fatness at least 14, measured fatness 11"),
 ])
 def test_public_steps_report_exact_fatness_and_invalid_models(step, bound_text):
     """A step decides its precondition with a bound, yet reports the exact

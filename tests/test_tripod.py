@@ -370,9 +370,14 @@ class TestPreconditions:
         lambda t: dataclasses.replace(t, q=frozenset({0, -1})),
         lambda t: dataclasses.replace(t, vs=(10, 20, 99)),
         lambda t: dataclasses.replace(
-            t, legs=(*t.legs[:2], t.legs[2]._replace(w=999)))])
+            t, legs=(*t.legs[:2], t.legs[2]._replace(w=999))),
+        lambda t: dataclasses.replace(
+            t, legs=(t.legs[0]._replace(r=(-1,) + t.legs[0].r), *t.legs[1:])),
+        lambda t: dataclasses.replace(
+            t, legs=(*t.legs[:2], t.legs[2]._replace(b=t.legs[2].b + (41,))))])
     def test_step_refuses_ids_outside_the_graph(self, break_state):
-        """-1 would index the last vertex, and 99 or more no vertex."""
+        """-1 would index the last vertex, and 41 or more no vertex; a tail
+        or geodesic id is screened as the tips and anchors are."""
         g, _ = make_instance("spider", 41)
         t = init_tripoid(g, (10, 20, 30), frozenset({0}), 2, 10)
         with pytest.raises(InputError):
