@@ -94,11 +94,18 @@ class Graph:
             raise InputError(f"vertex {v!r} out of range for n={self.n}")
 
     def check_vertex_set(self, vs: Iterable[int]) -> frozenset[int]:
-        out = frozenset(vs)
-        if out and not (set(map(type, out)) == {int}
-                        and min(out) >= 0 and max(out) < self.n):
-            # only to raise: name the first bad vertex in the set's order
-            for v in out:
+        # any other iterable is listed, so that a bad id can be looked for
+        # again below
+        ids = vs if isinstance(vs, (frozenset, set, list, tuple)) else list(vs)
+        try:
+            out = frozenset(ids)
+        except TypeError:
+            out = None
+        if out is None or (out and not (set(map(type, out)) == {int}
+                                        and min(out) >= 0 and max(out) < self.n)):
+            # only to raise: name the first bad vertex in the set's order,
+            # or in ids' order when an unhashable id left no set
+            for v in ids if out is None else out:
                 self.check_vertex(v)
         return out
 

@@ -15,19 +15,23 @@ round tests only the moved leg's new end against the other legs' balls:
 after a slide, whether the one vertex the slide added lies in them, and
 after a rebuild, the whole new geodesic, which it then balls for the
 tails.  A slide builds no ball; its leg's ball is brought up to date once,
-when another leg moves.  So a slide round costs one st_path of depth ell
-from the moved anchor into the uncopied region and a membership test,
-not time in the size of the tails or of the region, except when removing
-a region endpoint that is not an induced leaf, which searches the region
-left behind once (graph._take_component).
+when another leg moves.  Whether the moved leg slides is read off a
+sphere that the leg keeps around the anchor where it last searched (see
+_rounds): a slide round costs a membership test of that sphere against
+the region and one BFS layer grown from it, not time in the size of the
+tails or of the region, except when removing a region endpoint that is
+not an induced leaf, which searches the region left behind once
+(graph._take_component).  A depth-ell st_path from the anchor runs only
+when the sphere meets the region, or the leg has no sphere yet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
-from .errors import InternalInvariantError, PreconditionError, require
+from .errors import (InputError, InternalInvariantError, PreconditionError,
+                     require)
 from .graph import (Graph, UNREACHABLE, _connected, _take_component, ball,
                     dist, has_radius_at_most, is_path, st_path)
 
@@ -64,12 +68,19 @@ class TripodResult:
     iterations: int = 0
 
 
-def _named_ids(t: Tripoid) -> list[tuple[str, Iterable]]:
-    """Every field of t that holds vertex ids, with the name that
-    check_tripoid reports it under; tripod_step screens the same ids."""
+def _foreign_ids(g: Graph, t: Tripoid) -> list[str]:
+    """One violation for each id in a field of t that is not a vertex of
+    g, named by the field; ids need not be hashable."""
     named = [("working region", t.c), ("q", t.q), ("tips", t.vs)]
     named += [(f"leg {i}", (*leg.r, leg.w, *leg.b)) for i, leg in enumerate(t.legs)]
-    return named
+    out: list[str] = []
+    for name, ids in named:
+        for v in ids:
+            if not (type(v) is int and 0 <= v < g.n):
+                msg = f"{name}: {v!r} is not a vertex of the graph"
+                if msg not in out:
+                    out.append(msg)
+    return out
 
 
 def check_tripoid(g: Graph, t: Tripoid) -> list[str]:
@@ -77,13 +88,12 @@ def check_tripoid(g: Graph, t: Tripoid) -> list[str]:
 
     An id that is not a vertex of g is reported, and nothing is searched.
     """
+    return _foreign_ids(g, t) or _violations(g, t)
+
+
+def _violations(g: Graph, t: Tripoid) -> list[str]:
+    """check_tripoid for a state whose ids are all vertices of g."""
     out: list[str] = []
-    for name, ids in _named_ids(t):
-        for v in dict.fromkeys(ids):
-            if not (type(v) is int and 0 <= v < g.n):
-                out.append(f"{name}: {v!r} is not a vertex of the graph")
-    if out:
-        return out
     ell, d = t.ell, t.d
     if not t.c:
         out.append("working region is empty")
@@ -186,6 +196,19 @@ def _result(z: frozenset[int], tail_sets: list[set[int]],
     return TripodResult(z=z, p=(p[0], p[1], p[2]))
 
 
+def _next_layer(adj, reached: set[int], sphere: list[int],
+                tail: set[int]) -> list[int]:
+    """The vertices one step past sphere in g minus tail that reached does
+    not hold yet; they are added to reached."""
+    nxt = []
+    for u in sphere:
+        for v in adj[u]:
+            if v not in reached and v not in tail:
+                reached.add(v)
+                nxt.append(v)
+    return nxt
+
+
 def _rounds(g: Graph, t: Tripoid,
             limit: int) -> tuple[Union[TripodResult, Tripoid], int]:
     """Run rounds from t until one finishes or limit rounds have run.
@@ -209,6 +232,41 @@ def _rounds(g: Graph, t: Tripoid,
     no tail is tested.  A slide leaves near[xi] as it was, and it is
     rebuilt around the whole geodesic when another leg moves, so near[j]
     is up to date for every leg but a sliding xi.
+
+    Whether leg alpha slides, that is whether its anchor a is more than
+    ell from the shrunk region, is read off a sphere chain where the leg
+    has one.  A depth-ell st_path from a that finds nothing starts the
+    chain at o = a: reached[alpha] holds the vertices within ell + s of o
+    in g minus the leg's tail, found layer by layer, and sphere[alpha]
+    the last layer, at exactly ell + s, where s counts the leg's slides
+    since o.  The chain starts with ell layers, before the slide's step
+    joins the tail, and each slide grows one more.  Call inside the
+    reached vertices not in the sphere.  Then:
+
+    - No region vertex lies inside.  At the start the search found none
+      within ell of o, a layer joins inside only when the region misses
+      it, and the region only shrinks.
+    - a is at most s steps from o, along the geodesics it slid on; a
+      rebuild keeps the anchor and the chain.
+    - The tail only grows, so g minus the tail when a layer was grown
+      contains g minus the tail now.  A step of the walk from o to a is
+      closer than ell to the region when the leg slides onto it, so it
+      was in no earlier tail, and it is reached, at depth at most its
+      step count, before it joins the tail.  A shortest path from a to a
+      region vertex x, of length at most ell, has every vertex after a
+      closer than ell to the region, so none is in the tail now, nor was
+      when a layer was grown.
+
+    So d(a, x) <= ell would give a walk of length at most s + ell from o
+    to x in the chain's graph, putting x in reached and, by the first
+    point, in the sphere.  Hence when the region misses the sphere, a is
+    more than ell from it and the round slides with no search.  Otherwise
+    it runs the depth-ell st_path from a; a slide restarts the chain at a,
+    and a rebuild keeps it.  The chain answers "slide" only where that
+    search would find nothing, so rounds and results are those of
+    searching every round.  A slide costs a membership test of the sphere
+    and one layer, O(1) vertices on a spider leg; a slide that a search
+    decides also pays the search and the chain's ell starting layers.
     """
     ell = t.ell
     adj = g.adj
@@ -218,6 +276,8 @@ def _rounds(g: Graph, t: Tripoid,
     tail_sets = [set(leg.r) for leg in t.legs]
     bs = [leg.b for leg in t.legs]
     near = [ball(g, b, ell - 1) for b in bs]
+    reached: list[set[int] | None] = [None, None, None]
+    sphere: list[list[int] | None] = [None, None, None]
     slid = False
 
     for rounds in range(1, limit + 1):
@@ -265,7 +325,8 @@ def _rounds(g: Graph, t: Tripoid,
         for alpha, beta, gamma in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
             end = cs[alpha]
             c.discard(end)
-            if sum(1 for u in adj[end] if u in c) <= 1:
+            cand = [u for u in adj[end] if u in c]
+            if len(cand) <= 1:
                 # removing an induced leaf keeps the region connected
                 break
             # keep c_beta's component, if it holds c_gamma too
@@ -273,6 +334,7 @@ def _rounds(g: Graph, t: Tripoid,
             _take_component(adj, cs[beta], cut)
             if cs[gamma] not in cut:
                 c -= cut
+                cand = [u for u in cand if u in c]
                 break
             c.add(end)
         else:
@@ -281,12 +343,23 @@ def _rounds(g: Graph, t: Tripoid,
 
         if slid and alpha != xi:
             near[xi] = ball(g, bs[xi], ell - 1)
-        b_new = st_path(g, bs[alpha][:1], c, cutoff=ell)
-        slid = b_new is None
+        slid = sphere[alpha] is not None and c.isdisjoint(sphere[alpha])
+        if not slid:
+            b_new = st_path(g, bs[alpha][:1], c, cutoff=ell)
+            slid = b_new is None
+            if slid:
+                # restart the chain at the anchor the search just decided
+                o = bs[alpha][0]
+                reached[alpha], sphere[alpha] = {o}, [o]
+                for _ in range(ell):
+                    sphere[alpha] = _next_layer(adj, reached[alpha], sphere[alpha],
+                                                tail_sets[alpha])
         if slid:
-            # the anchor is now farther than ell: slide it one step along b
-            cand = [x for x in adj[cs[alpha]] if x in c]
+            # the anchor is now farther than ell: slide it one step along
+            # b, and the leg's sphere one layer out
             require(bool(cand), "new region has no neighbor of the removed endpoint")
+            sphere[alpha] = _next_layer(adj, reached[alpha], sphere[alpha],
+                                        tail_sets[alpha])
             w2 = bs[alpha][1]
             tails[alpha].append(w2)
             tail_sets[alpha].add(w2)
@@ -314,8 +387,10 @@ def tripod_step(g: Graph, t: Tripoid) -> Union[TripodResult, Tripoid]:
     Raises InputError for a vertex outside g, as init_tripoid does, and
     PreconditionError naming the first violated invariant of t.
     """
-    g.check_vertex_set(v for _, ids in _named_ids(t) for v in ids)
-    bad = check_tripoid(g, t)
+    foreign = _foreign_ids(g, t)
+    if foreign:
+        raise InputError(f"invalid tripoid: {foreign[0]}")
+    bad = _violations(g, t)
     if bad:
         raise PreconditionError(f"invalid tripoid: {bad[0]}")
     return _rounds(g, t, 1)[0]

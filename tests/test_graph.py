@@ -61,6 +61,10 @@ class TestConstruction:
             culprit = next(v for v in out if not (type(v) is int and 0 <= v < 4))
             with pytest.raises(InputError, match=f"^vertex {culprit!r} out of range for n=4$"):
                 g.check_vertex_set(bad)
+        # an unhashable id leaves no set: the first bad id in list order
+        for bad, culprit in (([[1]], [1]), ([0, [1], 5], [1]), (iter([2, {3}]), {3})):
+            with pytest.raises(InputError, match=f"^vertex {re.escape(repr(culprit))} out of range"):
+                g.check_vertex_set(bad)
 
     def test_empty_graph(self):
         g = Graph(0, [])

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -192,6 +193,15 @@ def test_driver_matches_stepwise(build):
     assert_driver_matches_stepwise(*build())
 
 
+def differential_instances():
+    """The 200 instances of acceptance criterion 5, 100 random cores and
+    the two fork instances."""
+    instances = list(generated_tripod_instances())
+    instances += [random_core_instance(random.Random(seed)) for seed in range(100)]
+    instances += [near_tail_instance(), near_geodesic_instance()]
+    return instances
+
+
 def test_driver_matches_stepwise_on_generated():
     """The batched rounds of tripod() agree with stepping on the 200
     instances of acceptance criterion 5, on 100 random cores and on the
@@ -204,12 +214,9 @@ def test_driver_matches_stepwise_on_generated():
     rebuilt geodesic (both fork instances).  A leg that slid keeps a
     stale ball until another leg moves, so the runs must also move another
     leg right after a slide."""
-    instances = list(generated_tripod_instances())
-    instances += [random_core_instance(random.Random(seed)) for seed in range(100)]
-    instances += [near_tail_instance(), near_geodesic_instance()]
     branches = set()
     finishes = set()
-    for instance in instances:
+    for instance in differential_instances():
         taken, (kind, last) = assert_driver_matches_stepwise(*instance)
         branches |= taken
         if last is not None:
@@ -272,6 +279,84 @@ def test_slide_rounds_build_no_ball(monkeypatch, case):
     else:
         assert balls == [(15, 14, 0), (18, 17, 9), (22, 21, 12),
                          (4, 5, 6), (18, 19, 8)]
+
+
+def record_anchor_searches(monkeypatch):
+    """Record every anchor search of tripod's rounds, the only st_path
+    calls there with a cutoff, as (anchor, found), and every sphere layer
+    they grow, as (reached set, tail set), in one list per _rounds call
+    with its ell."""
+    module = importlib.import_module("pathpack.tripod")
+    runs = []
+
+    def st_path(g, s, t, *, cutoff=None, _fn=module.st_path):
+        path = _fn(g, s, t, cutoff=cutoff)
+        if cutoff is not None:
+            runs[-1][1].append(("search", *s, path is not None))
+        return path
+
+    def next_layer(adj, reached, sphere, tail, _fn=module._next_layer):
+        runs[-1][1].append(("layer", reached, tail))
+        return _fn(adj, reached, sphere, tail)
+
+    def rounds(g, t, limit, _fn=module._rounds):
+        runs.append((t.ell, []))
+        return _fn(g, t, limit)
+
+    monkeypatch.setattr(module, "st_path", st_path)
+    monkeypatch.setattr(module, "_next_layer", next_layer)
+    monkeypatch.setattr(module, "_rounds", rounds)
+    return runs
+
+
+@pytest.mark.parametrize("case", ["prong", "spider 5000"])
+def test_slides_search_only_where_the_sphere_meets_the_region(monkeypatch, case):
+    """A slide whose leg's sphere misses the region runs no search.  The
+    prong run's 198 rounds and the spider run's 1,187 all shrink by
+    sliding one leg but the last, which finishes; each run makes one
+    anchor search, in round 1, whose slide starts the leg's sphere chain
+    with ell layers.  Each slide then grows one layer."""
+    runs = record_anchor_searches(monkeypatch)
+    if case == "prong":
+        tripod(*prong_instance())
+        rounds = 198
+    else:
+        g, a = make_instance("spider", 5000)
+        solve(g, a, SolveParams(2, 1))
+        rounds = 1187
+    assert len(runs) == 1
+    ell, events = runs[0]
+    assert events[0][0] == "search" and not events[0][-1]
+    assert [kind for kind, *_ in events[1:]] == ["layer"] * (ell + rounds - 1)
+
+
+def test_chain_outcomes_on_the_differential_instances(monkeypatch):
+    """The instances that test_driver_matches_stepwise_on_generated runs
+    reach each way a round decides a leg that has a live sphere chain: a
+    slide with no search (its sphere misses the region), a slide that a
+    search decides (the sphere meets the region, the anchor is still
+    farther than ell; the chain restarts), and a rebuild (the chain is
+    kept).  A chain starts with ell layers and grows one a slide, so the
+    layers of a reached set past its first ell + 1 are chain-decided
+    slides; a search is from a leg with a live chain when its anchor lies
+    in a tail that a layer has already avoided."""
+    runs = record_anchor_searches(monkeypatch)
+    for instance in differential_instances():
+        tripod(*instance)
+    outcomes = Counter()
+    for ell, events in runs:
+        layers = {}
+        tails = []
+        for kind, *rest in events:
+            if kind == "layer":
+                reached, tail = rest
+                layers.setdefault(id(reached), [reached, 0])[1] += 1
+                if not any(tail is x for x in tails):
+                    tails.append(tail)
+            elif any(rest[0] in x for x in tails):
+                outcomes["rebuild" if rest[1] else "searched slide"] += 1
+        outcomes["chain slide"] += sum(max(0, n - ell - 1) for _, n in layers.values())
+    assert min(outcomes[k] for k in ("chain slide", "searched slide", "rebuild")) > 0
 
 
 def test_spider_frozen_outcome():
@@ -374,10 +459,13 @@ class TestPreconditions:
         lambda t: dataclasses.replace(
             t, legs=(t.legs[0]._replace(r=(-1,) + t.legs[0].r), *t.legs[1:])),
         lambda t: dataclasses.replace(
-            t, legs=(*t.legs[:2], t.legs[2]._replace(b=t.legs[2].b + (41,))))])
+            t, legs=(*t.legs[:2], t.legs[2]._replace(b=t.legs[2].b + (41,)))),
+        lambda t: dataclasses.replace(
+            t, legs=(t.legs[0]._replace(r=([1],) + t.legs[0].r), *t.legs[1:]))])
     def test_step_refuses_ids_outside_the_graph(self, break_state):
         """-1 would index the last vertex, and 41 or more no vertex; a tail
-        or geodesic id is screened as the tips and anchors are."""
+        or geodesic id is screened as the tips and anchors are, and so is
+        an unhashable one."""
         g, _ = make_instance("spider", 41)
         t = init_tripoid(g, (10, 20, 30), frozenset({0}), 2, 10)
         with pytest.raises(InputError):
@@ -392,7 +480,10 @@ class TestPreconditions:
          "tips: 99 is not a vertex of the graph"),
         (lambda t: dataclasses.replace(t, legs=(
             *t.legs[:2], t.legs[2]._replace(b=t.legs[2].b + (41,)))),
-         "leg 2: 41 is not a vertex of the graph")])
+         "leg 2: 41 is not a vertex of the graph"),
+        (lambda t: dataclasses.replace(t, legs=(
+            t.legs[0]._replace(r=([1],) + t.legs[0].r), *t.legs[1:])),
+         "leg 0: [1] is not a vertex of the graph")])
     def test_check_reports_ids_outside_the_graph(self, break_state, message):
         """check_tripoid reports an id outside the graph and searches
         nothing: a region id of 100 would raise IndexError in the region
