@@ -16,8 +16,8 @@ from typing import Optional, Union
 from .augment import _augment
 from .errors import InputError, ParameterRangeError, PreconditionError, require
 from .forest import _leaf_bound, degree_classes, extract_z_paths
-from .graph import (Graph, UNREACHABLE, _component_avoiding, ball, dist,
-                    distance_map, has_radius_at_most, least_far_pair,
+from .graph import (Graph, UNREACHABLE, _least_far_pair, _search_tree,
+                    _tree_path, ball, dist, distance_map, has_radius_at_most,
                     radius_center, st_path)
 from .model import (FatModel, PatternGraph, _fat_to_clean, _fatness,
                     part_vertices, validate_model)
@@ -197,11 +197,17 @@ def _round(g: Graph, fr: Frame,
     branch set as it was, and ids are never reused, so a solve measures
     only the sets augment builds, each once.
 
-    Searches whose answer the sizes already fix are skipped: a candidate
-    of at most ell vertices has no pair ell apart, and neither has any
-    candidate once at most ell unsearched vertices are left.  With no
-    guard a candidate is a whole component, so a close pair's path is
-    already its geodesic in the host.
+    One search per candidate yields both its vertex set and its path: a
+    FIFO search from the candidate's least terminal in g minus the guard,
+    whose parent tree holds the path st_path would find within the
+    candidate to any of its vertices.  The far-pair test, given terminals
+    it knows to lie in one component, stops its first search at ell - 1,
+    where the round's answer is decided.  Searches whose answer the sizes
+    already fix are skipped: a candidate of at most ell vertices has no
+    pair ell apart, and neither has any candidate once at most ell
+    unsearched vertices are left.  With no guard a candidate is a whole
+    component, so a close pair's path is already its geodesic in the
+    host.
     """
     ell = fr.ell // 16
     # a valid frame's model is fr.ell = (8*ell + 2*4*ell)-fat, all that
@@ -232,27 +238,32 @@ def _round(g: Graph, fr: Frame,
             continue
         if first is not None and left <= ell:
             break
-        comp = _component_avoiding(g, a, guard)
-        left -= len(comp)
-        averts = sorted(fr.a_set & comp)
+        tree = _search_tree(g, a, guard)
+        left -= len(tree)
+        averts = sorted(tree.keys() & fr.a_set)
         placed.update(averts)
         if len(averts) < 2:
             continue
         if first is None:
-            first = (comp, averts)
-        pair = least_far_pair(g, averts, ell) if len(comp) > ell else None
+            first = (tree, averts)
+        pair = _least_far_pair(g, averts, ell) if len(tree) > ell else None
         if pair is not None:
             break
     if first is None:
         return HitSet(x=hit)
     close_pair = pair is None  # no candidate holds a pair ell apart
     if close_pair:
-        comp, averts = first
+        tree, averts = first
         pair = (averts[0], averts[1])
 
-    path = st_path(g, {pair[0]}, {pair[1]}, within=comp)
-    require(path is not None,
-            "chosen terminal pair is not connected off the guarded region")
+    # the tree is rooted at the candidate's least terminal; a far pair
+    # found by a later per-vertex search starts elsewhere
+    if pair[0] == averts[0]:
+        path = _tree_path(tree, pair[1])
+    else:
+        path = st_path(g, {pair[0]}, {pair[1]}, within=frozenset(tree))
+        require(path is not None,
+                "chosen terminal pair is not connected off the guarded region")
     require(guard.isdisjoint(path), "new terminal path enters the guarded region")
     a1, a2 = path[0], path[-1]
 
@@ -371,10 +382,11 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     also under python -O: the cleaned model and the new frame.  A model
     without edges is cleaned without a check, since cleaning leaves it as
     the last round's check (or the empty start) found it.  A round skips
-    the far-pair searches that the sizes of its components decide, and
-    keeps one table of branch-set centers per solve, so only augment's
-    sets are measured.  The final frame is unwound without a second
-    validate_frame.
+    the far-pair searches that the sizes of its components decide, reads
+    its path off the one search that finds its candidate, cuts its
+    far-pair test at ell, and keeps one table of branch-set centers per
+    solve, so only augment's sets are measured.  The final frame is
+    unwound without a second validate_frame.
     validate=True adds two checks: every frame's counter and scale are
     compared with the schedule, and the final certificate is verified
     independently by the oracle module.

@@ -295,10 +295,27 @@ def least_far_pair(g: Graph, averts: Iterable[int],
     dm = distance_map(g, {averts[0]})
     if any(b not in dm for b in averts):
         raise PreconditionError("far-pair vertices lie in different components")
+    return _least_far_pair(g, averts, threshold, dm)
+
+
+def _least_far_pair(g: Graph, averts: list[int], threshold: int,
+                    first: Optional[dict[int, int]] = None
+                    ) -> Optional[tuple[int, int]]:
+    """least_far_pair of sorted distinct ids that lie in one component of
+    g, without its id screen and component check.
+
+    first is the whole distance map from averts[0], when the caller holds
+    one.  Without it the first search stops at threshold - 1: a vertex
+    beyond the cut is at least threshold away, since it is reachable.  The
+    sweeps need the whole map, which the cut map is when its deepest level
+    lies below the cutoff; only otherwise is the search run again uncut.
+    """
+    a = averts[0]
+    dm = _levels(g.adj, (a,), threshold - 1) if first is None else first
     rest = averts[1:]
-    far = next((b for b in rest if dm[b] >= threshold), None)
+    far = next((b for b in rest if dm.get(b, threshold) >= threshold), None)
     if far is not None:
-        return averts[0], far
+        return a, far
     # all pairs sit within twice the worst distance from the least vertex
     worst = max(dm[b] for b in averts)
     if 2 * worst < threshold:
@@ -306,6 +323,8 @@ def least_far_pair(g: Graph, averts: Iterable[int],
     bound = [dm[v] + worst for v in rest]
     # with at most four vertices left the sweeps cannot save what they cost
     if len(rest) > _SWEEPS:
+        if first is None and max(dm.values()) >= threshold - 1:
+            dm = _levels(g.adj, (a,), None)
         for sweep in _sweeps(g, dm):
             ecc = max(sweep[b] for b in averts)
             bound = [min(ub, sweep[v] + ecc) for ub, v in zip(bound, rest)]
@@ -371,20 +390,34 @@ def _connected(g: Graph, sub: Iterable[int]) -> bool:
     return not rest
 
 
-def _component_avoiding(g: Graph, v: int, blocked: frozenset[int]) -> set[int]:
-    """Vertex set of v's component in g minus blocked; v is not blocked."""
+def _search_tree(g: Graph, v: int,
+                 blocked: frozenset[int]) -> dict[int, Optional[int]]:
+    """Parent of each vertex of v's component in g minus blocked, in the
+    order a FIFO search from v discovers them, neighbours in ascending id;
+    v is not blocked and is its own root, with parent None.  These are the
+    parents st_path(g, {v}, t, within=component) assigns, so _tree_path
+    reads off the path it returns."""
     # not _take_component: its rest set, set(range(n)) - blocked, costs
     # O(n) a round, where this search sees only v's component and its
     # border (measured slower on every workload, see ROADMAP)
     adj = g.adj
-    seen = {v}
-    stack = [v]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen and w not in blocked:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    parent: dict[int, Optional[int]] = {v: None}
+    queue = [v]
+    for u in queue:
+        for w in adj[u]:
+            if w not in parent and w not in blocked:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
+def _tree_path(parent: dict[int, Optional[int]], b: int) -> tuple[int, ...]:
+    """The path from the root of a _search_tree to its vertex b."""
+    path = [b]
+    while (u := parent[path[-1]]) is not None:
+        path.append(u)
+    path.reverse()
+    return tuple(path)
 
 
 def _nonempty_vertex_set(g: Graph, sub: Iterable[int], what: str) -> frozenset[int]:

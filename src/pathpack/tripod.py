@@ -93,15 +93,21 @@ def check_tripoid(g: Graph, t: Tripoid) -> list[str]:
 
 def _violations(g: Graph, t: Tripoid) -> list[str]:
     """check_tripoid for a state whose ids are all vertices of g."""
-    out: list[str] = []
-    ell, d = t.ell, t.d
     if not t.c:
-        out.append("working region is empty")
-        return out
+        return ["working region is empty"]
+    out: list[str] = []
     if not t.c <= t.q:
         out.append("working region leaves q")
     if not _connected(g, t.c):
         out.append("working region is not connected")
+    return out + _leg_violations(g, t)
+
+
+def _leg_violations(g: Graph, t: Tripoid) -> list[str]:
+    """The violations of _violations that concern the legs, for a state
+    whose ids are all vertices of g and whose working region is nonempty."""
+    out: list[str] = []
+    ell, d = t.ell, t.d
     ball_q = ball(g, t.q, ell)
     for i, leg in enumerate(t.legs):
         v = t.vs[i]
@@ -182,7 +188,9 @@ def init_tripoid(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
                     f"tips {vs[i]} and {vs[j]} are at distance {dij} < 2*d={2 * d}")
     t = Tripoid(c=q, xi=0, legs=(legs[0], legs[1], legs[2]),
                 q=q, vs=tuple(vs), ell=ell, d=d)
-    bad = check_tripoid(g, t)
+    # the ids were screened and q searched above, and the legs are paths
+    # that st_path found in g, so only the leg facts are left to check
+    bad = _leg_violations(g, t)
     require(not bad, "initial tripoid invalid: " + "; ".join(bad))
     return t
 

@@ -20,16 +20,28 @@ SRC = Path(pathpack.__file__).parent.parent
 
 def count_calls(monkeypatch, *fns) -> Counter:
     """Count calls of each function through every pathpack module that
-    binds it."""
+    binds it.  A function that no other module imports, apart from the
+    package's own re-export, is refused: no caller elsewhere could reach
+    it, so a count of 0 would show nothing."""
     counts: Counter = Counter()
     for fn in fns:
         def counted(*args, _fn=fn, **kwargs):
             counts[_fn.__name__] += 1
             return _fn(*args, **kwargs)
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("pathpack") and vars(mod).get(fn.__name__) is fn:
-                monkeypatch.setattr(mod, fn.__name__, counted)
+        binders = [name for name, mod in list(sys.modules.items())
+                   if name.startswith("pathpack")
+                   and vars(mod).get(fn.__name__) is fn]
+        assert set(binders) - {fn.__module__, "pathpack"}, (
+            f"{fn.__module__}.{fn.__name__} is bound in no other module")
+        for name in binders:
+            monkeypatch.setattr(sys.modules[name], fn.__name__, counted)
     return counts
+
+
+def test_count_calls_refuses_a_function_no_caller_binds(monkeypatch):
+    """least_far_pair is public, but no module of the solver imports it."""
+    with pytest.raises(AssertionError, match="bound in no other module"):
+        count_calls(monkeypatch, graph.least_far_pair)
 
 
 @pytest.mark.parametrize("validate", [False, True])
@@ -95,15 +107,16 @@ def test_round_decides_each_fact_once(monkeypatch):
     builds, a tripod tip gets its distance and its leg from one search, a
     junction slide builds no ball and runs no search while its leg's
     sphere misses the region, and augment finds the stub link and the
-    fold path with the searches that decide them: 41 dist, 23 ball and
-    20 st_path calls on this spider solve, and no dist on a path whose
-    terminals are all close."""
+    fold path with the searches that decide them, and a round reads its
+    path off the candidate search: 41 dist, 23 ball and 18 st_path calls
+    on this spider solve, none of them from a round, and no dist on a path
+    whose terminals are all close."""
     counts = count_calls(monkeypatch, graph.dist, graph.ball, graph.st_path)
     g, a = make_instance("spider", 5000)
     solve(g, a, SolveParams(2, 1))
     assert counts["dist"] <= 41
     assert counts["ball"] <= 23
-    assert counts["st_path"] <= 20
+    assert counts["st_path"] <= 18
     counts.clear()
     g, a = make_instance("path", 40, a_policy="all")
     solve(g, a, SolveParams(2, 1))
@@ -142,22 +155,24 @@ def test_unwinding_searches_the_pattern_components_once(monkeypatch):
 
 def test_round_skips_the_searches_its_sizes_decide(monkeypatch):
     """A candidate of at most ell vertices gets no far-pair search, the
-    candidate loop stops once at most ell unsearched vertices are left, an
-    unguarded close pair keeps its path as its geodesic, and an edgeless
-    model is cleaned without a check."""
-    counts = count_calls(monkeypatch, graph.least_far_pair,
-                         graph._component_avoiding, graph.st_path,
+    candidate loop stops once at most ell unsearched vertices are left, a
+    close pair's path is read off the candidate search, an unguarded close
+    pair keeps that path as its geodesic, and an edgeless model is cleaned
+    without a check."""
+    counts = count_calls(monkeypatch, graph._least_far_pair,
+                         graph._search_tree, graph.st_path,
                          model.validate_model)
     g, a = make_instance("random", 160, seed=1, a_policy="all")
     solve(g, a, SolveParams(3, 1))
-    assert counts["least_far_pair"] <= 1
-    assert counts["_component_avoiding"] <= 24
+    assert counts["_least_far_pair"] <= 1
+    assert counts["_search_tree"] <= 24
     assert counts["validate_model"] <= 5
     counts.clear()
     g, a = make_instance("path", 40, a_policy="all")
     solve(g, a, SolveParams(2, 1))
-    assert counts["least_far_pair"] == 0
-    assert counts["st_path"] == 1
+    assert counts["_search_tree"] == 1
+    assert counts["_least_far_pair"] == 0
+    assert counts["st_path"] == 0
     assert counts["validate_model"] == 1
 
 

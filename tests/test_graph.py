@@ -392,6 +392,27 @@ class TestLeastFarPair:
         with pytest.raises(InputError):
             far(g, averts, 3)
 
+    @pytest.mark.parametrize("threshold, from_least", [(25, 1), (19, 2)])
+    def test_the_cut_first_map_serves_the_sweeps(self, monkeypatch, threshold,
+                                                 from_least):
+        """The 10x10 grid has diameter 18.  Cut at threshold - 1 = 24 the
+        first search from 0 already reaches every vertex, so the sweeps
+        start from it with no second search from 0; cut at 18 it stops at
+        its deepest level and might have missed vertices beyond it, so the
+        search from 0 runs once more uncut.  The first sweep starts from
+        99, the vertex farthest from 0."""
+        g = grid_graph(10)
+        sources = []
+
+        def counted(adj, src, cutoff, _fn=graph_module._levels):
+            sources.append(tuple(src))
+            return _fn(adj, src, cutoff)
+
+        monkeypatch.setattr(graph_module, "_levels", counted)
+        far = graph_module._least_far_pair(g, list(range(100)), threshold)
+        assert far is None
+        assert sources[:from_least + 1] == [(0,)] * from_least + [(99,)]
+
     def test_duplicates_and_tiny_sets(self):
         g = path_graph(5)
         assert least_far_pair(g, [3, 3, 4], 1) == (3, 4)
@@ -426,8 +447,13 @@ def test_least_far_pair_matches_oracle(kind, n, seed, density):
     rng = random.Random(seed)
     a = [v for v in range(g.n) if rng.random() < density]
     diameter = max(max(bfs_dists(g, v).values()) for v in range(g.n))
+    ids = sorted(set(a))
     for threshold in range(diameter + 3):
-        assert least_far_pair(g, a, threshold) == far_pair(g, a, threshold)
+        want = far_pair(g, a, threshold)
+        assert least_far_pair(g, a, threshold) == want
+        # the round's body, whose first search stops at threshold - 1
+        if ids:
+            assert graph_module._least_far_pair(g, ids, threshold) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -510,6 +536,25 @@ def test_components_matches_reference(seed, size):
     rng = random.Random(seed)
     sub = set(range(g.n)) if size > g.n else set(rng.sample(range(g.n), size))
     assert components(g, sub) == reference_components(g, sub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 20))
+def test_search_tree_paths_match_st_path(seed, size):
+    """The round's candidate search from a in g minus a random guard spans
+    a's component there, and the path read off it to each b of the
+    component is the one st_path finds within the component."""
+    g = random_graph(seed)
+    rng = random.Random(seed)
+    guard = frozenset(rng.sample(range(g.n), size))
+    a = rng.choice(sorted(set(range(g.n)) - guard))
+    tree = graph_module._search_tree(g, a, guard)
+    comp = next(c for c in reference_components(g, set(range(g.n)) - guard)
+                if a in c)
+    assert tree.keys() == comp
+    for b in comp:
+        assert graph_module._tree_path(tree, b) == st_path(g, {a}, {b},
+                                                           within=comp)
 
 
 @settings(max_examples=150, deadline=None)

@@ -386,6 +386,23 @@ def test_init_tripoid_structure():
         assert leg.b[0] == leg.w
 
 
+def test_init_tripoid_searches_q_once(monkeypatch):
+    """The constructor checks that q is connected and then leaves that
+    fact, and its id screens, out of its self-check."""
+    module = importlib.import_module("pathpack.tripod")
+    searched = []
+
+    def _connected(g, sub, _fn=module._connected):
+        searched.append(frozenset(sub))
+        return _fn(g, sub)
+
+    monkeypatch.setattr(module, "_connected", _connected)
+    g, vs, q, ell, d = spider_instance()
+    t = init_tripoid(g, vs, q, ell, d)
+    assert searched == [q]
+    assert check_tripoid(g, t) == []
+
+
 class TestPreconditions:
     def test_bad_scale(self):
         g, vs, q, _, d = spider_instance()
