@@ -257,13 +257,13 @@ def _round(g: Graph, fr: Frame,
         pair = (averts[0], averts[1])
 
     # the tree is rooted at the candidate's least terminal; a far pair
-    # found by a later per-vertex search starts elsewhere
-    if pair[0] == averts[0]:
-        path = _tree_path(tree, pair[1])
-    else:
-        path = st_path(g, {pair[0]}, {pair[1]}, within=frozenset(tree))
-        require(path is not None,
+    # found by a later per-vertex search starts elsewhere, and its own tree
+    # holds the same candidate
+    if pair[0] != averts[0]:
+        tree = _search_tree(g, pair[0], guard)
+        require(pair[1] in tree,
                 "chosen terminal pair is not connected off the guarded region")
+    path = _tree_path(tree, pair[1])
     require(guard.isdisjoint(path), "new terminal path enters the guarded region")
     a1, a2 = path[0], path[-1]
 

@@ -89,25 +89,32 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
+    def foreign(self, ids: Iterable) -> list:
+        """The members of ids that are not vertices, in the order ids yields
+        them.  A vertex is an int in 0..n-1, so a bool is foreign too, and
+        ids need not be hashable.  Every public entry that takes ids screens
+        them here; the search kernels trust theirs."""
+        n = self.n
+        return [v for v in ids if type(v) is not int or not 0 <= v < n]
+
+    @staticmethod
+    def id_order(v) -> tuple:
+        """Sort key for ids of any type: ints by value, then every other id
+        by its repr, so that foreign ids of mixed types sort."""
+        return (False, v) if type(v) is int else (True, repr(v))
+
     def check_vertex(self, v: int) -> None:
-        if not (type(v) is int and 0 <= v < self.n):
+        if self.foreign((v,)):
             raise InputError(f"vertex {v!r} out of range for n={self.n}")
 
     def check_vertex_set(self, vs: Iterable[int]) -> frozenset[int]:
-        # any other iterable is listed, so that a bad id can be looked for
-        # again below
+        """vs as a frozenset; InputError names its first foreign id."""
+        # any other iterable is listed, so that it can be screened and kept
         ids = vs if isinstance(vs, (frozenset, set, list, tuple)) else list(vs)
-        try:
-            out = frozenset(ids)
-        except TypeError:
-            out = None
-        if out is None or (out and not (set(map(type, out)) == {int}
-                                        and min(out) >= 0 and max(out) < self.n)):
-            # only to raise: name the first bad vertex in the set's order,
-            # or in ids' order when an unhashable id left no set
-            for v in ids if out is None else out:
-                self.check_vertex(v)
-        return out
+        bad = self.foreign(ids)
+        if bad:
+            raise InputError(f"vertex {bad[0]!r} out of range for n={self.n}")
+        return frozenset(ids)
 
 
 def dist(g: Graph, s: Iterable[int], t: Iterable[int], *,
@@ -340,9 +347,7 @@ def _least_far_pair(g: Graph, averts: list[int], threshold: int,
 
 def is_path(g: Graph, seq: tuple[int, ...]) -> bool:
     """True iff seq is a path in g: distinct vertices, consecutive adjacent."""
-    if len(seq) == 0 or min(seq) < 0 or max(seq) >= g.n:
-        return False
-    if len(set(seq)) != len(seq):
+    if not seq or g.foreign(seq) or len(set(seq)) != len(seq):
         return False
     for u, v in zip(seq, seq[1:]):
         if not g.has_edge(u, v):
@@ -421,25 +426,25 @@ def _tree_path(parent: dict[int, Optional[int]], b: int) -> tuple[int, ...]:
 
 
 def _nonempty_vertex_set(g: Graph, sub: Iterable[int], what: str) -> frozenset[int]:
-    subset = frozenset(sub)
+    subset = g.check_vertex_set(sub)
     if not subset:
         raise PreconditionError(f"{what} of empty set")
-    return g.check_vertex_set(subset)
+    return subset
 
 
-def _least_eccentricity(g: Graph, sub: Iterable[int], what: str,
+def _least_eccentricity(g: Graph, subset: frozenset[int], what: str,
                         r: int | float = UNREACHABLE) -> tuple[int, int | float]:
-    """A vertex of least eccentricity in the induced subgraph g[sub] and
-    that eccentricity, ties broken by lowest id.
+    """A vertex of least eccentricity in the induced subgraph g[subset],
+    which _nonempty_vertex_set has screened, and that eccentricity, ties
+    broken by lowest id.
 
     Exact scan with eccentricity lower bounds for pruning: a search from v
     shows ecc(u) >= max(d(v, u), ecc(v) - d(v, u)).  With a finite r only
     eccentricities at most r are sought: the scan skips every vertex whose
     bound exceeds r and returns at the first vertex found within r, so the
-    eccentricity returned exceeds r when there is none.  Raises on an empty,
-    out-of-range or disconnected sub, naming the caller's `what`.
+    eccentricity returned exceeds r when there is none.  Raises on a
+    disconnected subset, naming the caller's `what`.
     """
-    subset = _nonempty_vertex_set(g, sub, what)
     if len(subset) == 1:
         (v,) = subset
         return v, 0
@@ -478,7 +483,8 @@ def radius_center(g: Graph, sub: Iterable[int]) -> tuple[int, int]:
     broken by lowest id.  A singleton has radius 0.  Raises on an empty or
     disconnected sub.
     """
-    center, radius = _least_eccentricity(g, sub, "radius_center")
+    center, radius = _least_eccentricity(
+        g, _nonempty_vertex_set(g, sub, "radius_center"), "radius_center")
     return center, int(radius)
 
 
@@ -490,9 +496,9 @@ def has_radius_at_most(g: Graph, sub: Iterable[int], r: int) -> bool:
     and on a disconnected one when r >= 0; a negative r is False without a
     search.
     """
-    subset = frozenset(sub)
+    subset = _nonempty_vertex_set(g, sub, "radius check")
     if r < len(subset) - 1:
         return _least_eccentricity(g, subset, "radius check", r)[1] <= r
-    if not _connected(g, _nonempty_vertex_set(g, subset, "radius check")):
+    if not _connected(g, subset):
         raise PreconditionError("radius check of disconnected set")
     return True

@@ -159,14 +159,6 @@ class PatternGraph:
         e_v = self.add_edge(w, v)
         return w, e_u, e_v
 
-    def remove_vertex(self, v: int) -> None:
-        if v not in self._adj:
-            raise InputError(f"no vertex {v}")
-        for nbr, eid in list(self._adj[v].items()):
-            del self._adj[nbr][v]
-            del self._edges[eid]
-        del self._adj[v]
-
     def copy(self) -> "PatternGraph":
         out = PatternGraph()
         out._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
@@ -247,9 +239,10 @@ def validate_model(g: Graph, m: FatModel) -> list[str]:
         if not vs:
             violations.append(f"branch part of {name} is empty")
             continue
-        bad = [v for v in vs if not (0 <= v < g.n)]
+        bad = g.foreign(vs)
         if bad:
-            violations.append(f"branch part of {name} has out-of-range ids {sorted(bad)}")
+            violations.append(f"branch part of {name} has out-of-range ids "
+                              f"{sorted(bad, key=Graph.id_order)}")
             continue
         raw = (m.branch_sets if kind == "v" else m.branch_parts)[i]
         is_tuple = isinstance(raw, tuple)

@@ -4,7 +4,8 @@ Nothing here shares logic with the solver, and the construction calls
 nothing here; only solve(validate=True) hands its final certificate to the
 verifiers.  Verification uses only plain breadth-first searches over the
 host graph, so a bug in the construction cannot hide behind the same bug in
-the check.  far_pair is also the reference that the solver's
+the check.  Which ids are vertices is Graph.foreign's one decision, as for
+every public entry.  far_pair is also the reference that the solver's
 graph.least_far_pair is tested against.
 """
 
@@ -53,7 +54,7 @@ def packing_violations(g: Graph, a: frozenset[int],
     if len(paths) < k:
         out.append(f"only {len(paths)} paths, need {k}")
     for idx, p in enumerate(paths):
-        if p and (min(p) < 0 or max(p) >= g.n):
+        if g.foreign(p):
             out.append(f"path {idx} has a vertex outside the graph")
             return out
     for idx, p in enumerate(paths):
@@ -93,10 +94,11 @@ def hitting_violations(g: Graph, a: frozenset[int], x: frozenset[int],
     out: list[str] = []
     if len(x) > size_bound:
         out.append(f"hitting set has {len(x)} vertices, bound is {size_bound}")
-    for v in sorted(x):
-        if not (0 <= v < g.n):
-            out.append(f"hitting set vertex {v} is not in the graph")
-            return out
+    bad = g.foreign(x)
+    if bad:
+        out.append(f"hitting set vertex {min(bad, key=Graph.id_order)!r} "
+                   f"is not in the graph")
+        return out
     if radius < 0:
         out.append(f"ball radius {radius} is negative")
         return out

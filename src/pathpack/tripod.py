@@ -73,14 +73,8 @@ def _foreign_ids(g: Graph, t: Tripoid) -> list[str]:
     g, named by the field; ids need not be hashable."""
     named = [("working region", t.c), ("q", t.q), ("tips", t.vs)]
     named += [(f"leg {i}", (*leg.r, leg.w, *leg.b)) for i, leg in enumerate(t.legs)]
-    out: list[str] = []
-    for name, ids in named:
-        for v in ids:
-            if not (type(v) is int and 0 <= v < g.n):
-                msg = f"{name}: {v!r} is not a vertex of the graph"
-                if msg not in out:
-                    out.append(msg)
-    return out
+    return list(dict.fromkeys(f"{name}: {v!r} is not a vertex of the graph"
+                              for name, ids in named for v in g.foreign(ids)))
 
 
 def check_tripoid(g: Graph, t: Tripoid) -> list[str]:
@@ -159,11 +153,11 @@ def init_tripoid(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
     """
     if ell < 1 or d < 1:
         raise PreconditionError(f"need ell >= 1 and d >= 1, got ell={ell}, d={d}")
+    for v in vs:
+        g.check_vertex(v)
     if len(set(vs)) != 3:
         raise PreconditionError(f"tips must be three distinct vertices, got {vs}")
     q = g.check_vertex_set(q)
-    for v in vs:
-        g.check_vertex(v)
     if not q:
         raise PreconditionError("q must be nonempty")
     if not _connected(g, q):

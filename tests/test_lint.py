@@ -1,14 +1,17 @@
 """Source checks: every module keeps every invariant under python -O,
 host-graph searches live in graph.py, Graph.__init__ alone builds a graph,
 the solver calls no public step that checks its input, only the exact
-reports call _fatness without a bound, and the verifiers import a pinned
-set of names from graph.py.
+reports call _fatness without a bound, the verifiers import a pinned set
+of names from graph.py, and only graph.py compares a value with the vertex
+count g.n.
 
 A bare assert and an `if __debug__:` block both vanish when Python runs
 with -O, so an invariant kept that way silently stops being checked.  An
 invariant is tested one way, through errors.require.  A module that walks
 the host's adjacency lists itself keeps a private copy of a search that
 graph.py already has; only the verifiers in oracle.py keep their own.
+Which ids are vertices is decided once, by Graph.foreign; a module that
+compares an id with g.n itself keeps a screen of its own.
 """
 
 import ast
@@ -276,3 +279,29 @@ def test_fatness_detector_tells_bounded_from_exact():
               "    _fatness(g, m, bound=q)\n"
               "class C:\n    def k(self, g, m):\n        fatness(g, m)\n")
     assert fatness_calls(source) == ["f: exact", "h: bounded", "h: bounded"]
+
+
+def vertex_count_comparisons(source: str) -> list[str]:
+    """Line-tagged comparisons in the given source that read g.n, the host
+    graph's vertex count, each line once."""
+    lines = {node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Compare) and any(
+                 isinstance(sub, ast.Attribute) and sub.attr == "n"
+                 and isinstance(sub.value, ast.Name) and sub.value.id == "g"
+                 for sub in ast.walk(node))}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "graph"])
+def test_only_graph_decides_vertex_ids(module):
+    assert vertex_count_comparisons((SRC / f"{module}.py").read_text()) == []
+
+
+def test_vertex_count_detector_sees_each_comparison_form():
+    source = ("def f(g, v, p, x):\n"
+              "    ok = 0 <= v < g.n\n"
+              "    if p and (min(p) < 0 or max(p) >= g.n):\n"
+              "        return x in range(g.n)\n"
+              "    left = g.n - len(p)\n"
+              "    return [w for w in range(g.n) if w < left], v < self.n\n")
+    assert vertex_count_comparisons(source) == ["line 2", "line 3", "line 4"]

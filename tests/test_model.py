@@ -79,14 +79,6 @@ class TestPatternGraph:
         assert p.endpoints(e_v) == (2, 1)
         assert p.degree(2) == 2
 
-    def test_remove_vertex_drops_incident_edges(self):
-        p = PatternGraph()
-        p.add_k2()
-        p.add_leaf(1)
-        p.remove_vertex(1)
-        assert p.vertex_ids() == [0, 2]
-        assert p.edge_ids() == []
-
     def test_from_parts_keeps_ids(self):
         p = PatternGraph.from_parts([5, 7], {3: (5, 7)})
         assert p.vertex_ids() == [5, 7]

@@ -1,0 +1,136 @@
+"""Every public entry that takes ids of host vertices screens them through
+Graph.foreign: an id is a vertex only as an int in 0..n-1, so a float, a
+bool, a string, a negative int, n itself and an unhashable id are each
+answered the entry's documented way, never with a bare TypeError.  The
+search kernels (ball, dist, st_path, distance_map, components) trust their
+ids and are not listed."""
+
+import pytest
+
+from pathpack import (FatModel, Frame, Graph, HittingCertificate, InputError,
+                      Leg, PatternGraph, PreconditionError, SolveParams,
+                      Tripoid, augment, certificate_violations, check_tripoid,
+                      empty_frame, extend_or_hit, far_pair, fat_to_clean,
+                      fatness, frame_to_packing, has_radius_at_most,
+                      hitting_violations, init_tripoid, is_clean, is_path,
+                      is_simple, least_far_pair, make_instance,
+                      make_topological, packing_violations, radius_center,
+                      solve, tripod, tripod_step, validate_frame,
+                      validate_model, verify_hitting, verify_packing)
+
+N = 10
+G, A = make_instance("path", N)
+FOREIGN = [1.0, True, "1", -1, N]
+UNHASHABLE = [1]
+
+
+def one_set_model(v) -> FatModel:
+    """A single pattern vertex whose branch set is {v}."""
+    return FatModel(PatternGraph.from_parts([0], {}), {0: frozenset({v})})
+
+
+# branch sets {0} and {4} joined by the branch path 0..4
+EDGE_MODEL = FatModel(PatternGraph.from_parts([0, 1], {0: (0, 1)}),
+                      {0: frozenset({0}), 1: frozenset({4})},
+                      {0: (0, 1, 2, 3, 4)})
+
+
+def tripoid_with_tip(v) -> Tripoid:
+    """A tripoid whose third tip is v; nothing is searched when an id is
+    foreign, so the rest need only be vertices."""
+    leg = Leg(r=(), w=2, b=(2,))
+    return Tripoid(c=frozenset({2}), xi=0, legs=(leg, leg, leg),
+                   q=frozenset({2}), vs=(0, 4, v), ell=1, d=1)
+
+
+def model_msg(v) -> str:
+    return f"branch part of vertex 0 has out-of-range ids {[v]}"
+
+
+def hitting_msg(v) -> str:
+    return f"hitting set vertex {v!r} is not in the graph"
+
+
+# name: (call with the probed id, answer, takes an unhashable id); an answer
+# is the error the entry raises, or the value it returns as a function of
+# the id
+ENTRIES = {
+    "Graph.check_vertex": (lambda v: G.check_vertex(v), InputError, True),
+    "Graph.check_vertex_set": (lambda v: G.check_vertex_set([0, v]),
+                               InputError, True),
+    "is_path": (lambda v: is_path(G, (v, 2)), lambda v: False, True),
+    "least_far_pair": (lambda v: least_far_pair(G, [0, v], 1), InputError, True),
+    "radius_center": (lambda v: radius_center(G, [0, v]), InputError, True),
+    "has_radius_at_most": (lambda v: has_radius_at_most(G, [0, v], 1),
+                           InputError, True),
+    "validate_model": (lambda v: validate_model(G, one_set_model(v)),
+                       lambda v: [model_msg(v)], False),
+    "is_simple": (lambda v: is_simple(G, one_set_model(v)),
+                  lambda v: [model_msg(v)], False),
+    "fatness": (lambda v: fatness(G, one_set_model(v)), PreconditionError, False),
+    "is_clean": (lambda v: is_clean(G, one_set_model(v), 1),
+                 PreconditionError, False),
+    "fat_to_clean": (lambda v: fat_to_clean(G, one_set_model(v), 1, 1),
+                     PreconditionError, False),
+    "make_topological": (lambda v: make_topological(G, one_set_model(v), 1),
+                         PreconditionError, False),
+    "augment": (lambda v: augment(G, EDGE_MODEL, v, 0, (v, 2), 1),
+                PreconditionError, True),
+    "validate_frame": (lambda v: validate_frame(G, Frame(
+        model=one_set_model(v), i=1, ell=16, r=4, coarse=False,
+        a_set=frozenset({0}))), lambda v: [f"model: {model_msg(v)}"], False),
+    "extend_or_hit": (lambda v: extend_or_hit(
+        G, empty_frame(frozenset({0, v}), 16, 4, False)), InputError, False),
+    "frame_to_packing": (lambda v: frame_to_packing(
+        G, empty_frame(frozenset({0, v}), 16, 4, False)), InputError, False),
+    "solve": (lambda v: solve(G, [0, v], SolveParams(1, 1)), InputError, True),
+    "check_tripoid": (lambda v: check_tripoid(G, tripoid_with_tip(v)),
+                      lambda v: [f"tips: {v!r} is not a vertex of the graph"],
+                      True),
+    "tripod_step": (lambda v: tripod_step(G, tripoid_with_tip(v)),
+                    InputError, True),
+    "init_tripoid": (lambda v: init_tripoid(G, (0, 4, v), frozenset({2}), 1, 1),
+                     InputError, True),
+    "tripod": (lambda v: tripod(G, (0, 4, v), frozenset({2}), 1, 1),
+               InputError, True),
+    "far_pair": (lambda v: far_pair(G, [0, v], 1), InputError, True),
+    "packing_violations": (lambda v: packing_violations(
+        G, A, [(0, 1), (v, 2)], 2, 1),
+        lambda v: ["path 1 has a vertex outside the graph"], True),
+    "verify_packing": (lambda v: verify_packing(G, A, [(0, 1), (v, 2)], 2, 1),
+                       lambda v: False, True),
+    "hitting_violations": (lambda v: hitting_violations(G, A, [v], 1, 4),
+                           lambda v: [hitting_msg(v)], True),
+    "verify_hitting": (lambda v: verify_hitting(G, A, [v], 1, 4),
+                       lambda v: False, True),
+    "certificate_violations": (lambda v: certificate_violations(
+        G, A, SolveParams(2, 1), HittingCertificate(
+            x=frozenset({v}), radius=1, coarse_threshold=None)),
+        lambda v: [hitting_msg(v)], False),
+}
+
+PROBES = [(name, v) for name, (_, _, unhashable) in ENTRIES.items()
+          for v in FOREIGN + ([UNHASHABLE] if unhashable else [])]
+
+
+@pytest.mark.parametrize("name, v", PROBES,
+                         ids=[f"{name}-{v!r}" for name, v in PROBES])
+def test_entry_answers_a_foreign_id_its_documented_way(name, v):
+    call, answer, _ = ENTRIES[name]
+    if isinstance(answer, type):
+        with pytest.raises(answer):
+            call(v)
+    else:
+        assert call(v) == answer(v)
+
+
+def test_foreign_lists_the_non_vertices_in_order():
+    ids = [3, True, -1, [1], N, N - 1, 1.0, "1", 0]
+    assert G.foreign(ids) == [True, -1, [1], N, 1.0, "1"]
+    assert G.foreign(range(N)) == []
+    assert Graph(0).foreign([0]) == [0]
+
+
+def test_id_order_sorts_mixed_ids_with_ints_first():
+    assert (sorted([N, "a", -1, 1.0, True, 2], key=Graph.id_order)
+            == [-1, 2, N, "a", 1.0, True])
