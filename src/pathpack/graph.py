@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from itertools import count
 from math import inf
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, ParameterRangeError, PreconditionError
 
@@ -263,24 +263,25 @@ def _levels(adj, src: Iterable[int], cutoff: Optional[int | float]) -> dict[int,
     return dmap
 
 
-# Full searches run by _sweeps beyond the one it is given.
+# Most full searches _sweeps runs beyond the one it is given.
 _SWEEPS = 4
 
 
-def _sweeps(g: Graph, first: dict[int, int]) -> list[dict[int, int]]:
-    """Distance maps from the vertex farthest from first's source, the one
-    farthest from both, the one farthest from that, and finally from the
+def _sweeps(g: Graph, first: dict[int, int]) -> Iterator[dict[int, int]]:
+    """Yield distance maps from the vertex farthest from first's source, the
+    one farthest from both, the one farthest from that, and finally from the
     vertex whose largest distance to all four sources is least: a central
     vertex, whose eccentricity is about half the diameter.  Ties go to the
-    lowest id."""
+    lowest id.  Each source is picked, and its search run, only when the
+    caller asks for the next map."""
     maps = [first]
     for pick in (lambda v: maps[0][v],
                  lambda v: min(maps[0][v], maps[1][v]),
                  lambda v: maps[2][v]):
         maps.append(distance_map(g, {max(first, key=lambda v: (pick(v), -v))}))
+        yield maps[-1]
     center = min(first, key=lambda v: (max(m[v] for m in maps), v))
-    maps.append(distance_map(g, {center}))
-    return maps[1:]
+    yield distance_map(g, {center})
 
 
 def least_far_pair(g: Graph, averts: Iterable[int],
@@ -289,12 +290,13 @@ def least_far_pair(g: Graph, averts: Iterable[int],
     least threshold, or None.
 
     Same answer as the verifiers' plain oracle.far_pair, with fewer
-    searches.  When the search from the least vertex cannot decide, a few
-    full sweeps bound every vertex's eccentricity within the set:
+    searches.  When the search from the least vertex cannot decide, up to
+    four full sweeps bound every vertex's eccentricity within the set:
     ecc(v) <= d(s, v) + ecc(s) for every swept source s (Takes and Kosters,
-    CIKM 2011).  Only vertices whose bound reaches threshold get a search
-    of their own.  Raises InputError for an id outside g, and
-    PreconditionError when some vertex is unreachable from the least one.
+    CIKM 2011).  The sweeps stop as soon as no bound reaches threshold, and
+    only vertices whose bound still reaches it get a search of their own.
+    Raises InputError for an id outside g, and PreconditionError when some
+    vertex is unreachable from the least one.
     """
     averts = sorted(g.check_vertex_set(averts))
     if not averts:
@@ -335,6 +337,9 @@ def _least_far_pair(g: Graph, averts: list[int], threshold: int,
         for sweep in _sweeps(g, dm):
             ecc = max(sweep[b] for b in averts)
             bound = [min(ub, sweep[v] + ecc) for ub, v in zip(bound, rest)]
+            # later sweeps only lower bounds that already skip every search
+            if max(bound) < threshold:
+                break
     for v, ub in zip(rest, bound):
         if ub < threshold:
             continue

@@ -164,7 +164,8 @@ def brute_force_packing_exists(g: Graph, a: frozenset[int], k: int, d: int,
                                max_steps: int = 2_000_000) -> bool:
     """Exhaustively decide whether k terminal paths pairwise at distance
     at least d exist.  Only sensible for small graphs; raises once the
-    step budget runs out."""
+    step budget runs out, and raises InputError for an id outside g."""
+    a = g.check_vertex_set(a)
     if k <= 0:
         return True
     budget = [max_steps]

@@ -28,7 +28,7 @@ when the sphere meets the region, or the leg has no sphere yet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import (InputError, InternalInvariantError, PreconditionError,
                      require)
@@ -68,13 +68,18 @@ class TripodResult:
     iterations: int = 0
 
 
-def _foreign_ids(g: Graph, t: Tripoid) -> list[str]:
-    """One violation for each id in a field of t that is not a vertex of
+def _foreign_ids(g: Graph, named: list[tuple[str, Iterable]]) -> list[str]:
+    """One violation for each id in a named field that is not a vertex of
     g, named by the field; ids need not be hashable."""
-    named = [("working region", t.c), ("q", t.q), ("tips", t.vs)]
-    named += [(f"leg {i}", (*leg.r, leg.w, *leg.b)) for i, leg in enumerate(t.legs)]
     return list(dict.fromkeys(f"{name}: {v!r} is not a vertex of the graph"
                               for name, ids in named for v in g.foreign(ids)))
+
+
+def _tripoid_fields(t: Tripoid) -> list[tuple[str, Iterable]]:
+    """The id fields of t, each with its name."""
+    named = [("working region", t.c), ("q", t.q), ("tips", t.vs)]
+    return named + [(f"leg {i}", (*leg.r, leg.w, *leg.b))
+                    for i, leg in enumerate(t.legs)]
 
 
 def check_tripoid(g: Graph, t: Tripoid) -> list[str]:
@@ -82,7 +87,7 @@ def check_tripoid(g: Graph, t: Tripoid) -> list[str]:
 
     An id that is not a vertex of g is reported, and nothing is searched.
     """
-    return _foreign_ids(g, t) or _violations(g, t)
+    return _foreign_ids(g, _tripoid_fields(t)) or _violations(g, t)
 
 
 def _violations(g: Graph, t: Tripoid) -> list[str]:
@@ -389,7 +394,7 @@ def tripod_step(g: Graph, t: Tripoid) -> Union[TripodResult, Tripoid]:
     Raises InputError for a vertex outside g, as init_tripoid does, and
     PreconditionError naming the first violated invariant of t.
     """
-    foreign = _foreign_ids(g, t)
+    foreign = _foreign_ids(g, _tripoid_fields(t))
     if foreign:
         raise InputError(f"invalid tripoid: {foreign[0]}")
     bad = _violations(g, t)
@@ -400,7 +405,18 @@ def tripod_step(g: Graph, t: Tripoid) -> Union[TripodResult, Tripoid]:
 
 def check_tripod_result(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
                         ell: int, d: int, res: TripodResult) -> list[str]:
-    """Violations of the five output guarantees, empty when all hold."""
+    """Violations of the five output guarantees, empty when all hold.
+
+    An id that is not a vertex of g is reported, and nothing is searched.
+    """
+    named = [("tips", vs), ("q", q), ("hub", res.z)]
+    named += [(f"connector {i}", p) for i, p in enumerate(res.p)]
+    return _foreign_ids(g, named) or _result_violations(g, vs, q, ell, d, res)
+
+
+def _result_violations(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
+                       ell: int, d: int, res: TripodResult) -> list[str]:
+    """check_tripod_result for a result whose ids are all vertices of g."""
     out: list[str] = []
     if not _connected(g, res.z):
         out.append("hub is not connected")
@@ -442,6 +458,6 @@ def tripod(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
     out, iterations = _rounds(g, state, len(state.q) + 2)
     require(isinstance(out, TripodResult), "junction construction failed to terminate")
     res = TripodResult(z=out.z, p=out.p, iterations=iterations)
-    bad = check_tripod_result(g, tuple(vs), frozenset(q), ell, d, res)
+    bad = _result_violations(g, tuple(vs), frozenset(q), ell, d, res)
     require(not bad, "junction output check failed: " + "; ".join(bad))
     return res

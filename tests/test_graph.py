@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pathpack.frame as frame_module
 import pathpack.graph as graph_module
 from helpers import bfs_dists, cycle_graph, grid_graph, path_graph
-from pathpack import (UNREACHABLE, Graph, InputError, PreconditionError,
-                      make_instance)
+from pathpack import (UNREACHABLE, Graph, HittingCertificate, InputError,
+                      PreconditionError, SolveParams, make_instance, solve)
 from pathpack.graph import (
     ball,
     components,
@@ -412,6 +413,53 @@ class TestLeastFarPair:
         far = graph_module._least_far_pair(g, list(range(100)), threshold)
         assert far is None
         assert sources[:from_least + 1] == [(0,)] * from_least + [(99,)]
+
+    @pytest.mark.parametrize("threshold, searches",
+                             [(20, 5), (25, 5)] + [(t, 2) for t in range(28, 37)])
+    def test_sweeps_stop_once_no_bound_reaches_threshold(
+            self, monkeypatch, threshold, searches):
+        """The 10x10 grid has diameter 18, and d(0, v) + d(99, v) = 18 for
+        every v.  The first sweep, from 99, bounds each eccentricity by
+        min(d(0, v), d(99, v)) + 18 <= 27, so from threshold 28 on no bound
+        reaches threshold after the search from 0 and that one sweep.  At 20
+        and 25 the bounds fall below threshold only after all four sweeps."""
+        g = grid_graph(10)
+        assert far_pair(g, range(100), threshold) is None
+        searches_run = []
+
+        def counted(adj, src, cutoff, _fn=graph_module._levels):
+            searches_run.append(tuple(src))
+            return _fn(adj, src, cutoff)
+
+        monkeypatch.setattr(graph_module, "_levels", counted)
+        assert graph_module._least_far_pair(g, list(range(100)), threshold) is None
+        assert len(searches_run) == searches
+
+    def test_grid_solve_sweeps_once(self, monkeypatch):
+        """The plain 66x66 grid solve with k=2, d=1 asks for a pair 256
+        apart; one sweep drops every bound below 256, so its far-pair test
+        runs the search from the least terminal and one sweep."""
+        side = 66
+        g, a = make_instance("grid", side * side, 1, "random_p")
+        a |= {0, side - 1, side * (side - 1), side * side - 1}
+        searches, inside = [], []
+
+        def counted(adj, src, cutoff, _fn=graph_module._levels):
+            if inside:
+                searches.append(tuple(src))
+            return _fn(adj, src, cutoff)
+
+        def far_pair_test(*args, _fn=frame_module._least_far_pair):
+            inside.append(1)
+            try:
+                return _fn(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(graph_module, "_levels", counted)
+        monkeypatch.setattr(frame_module, "_least_far_pair", far_pair_test)
+        assert isinstance(solve(g, a, SolveParams(k=2, d=1)), HittingCertificate)
+        assert len(searches) == 2
 
     def test_duplicates_and_tiny_sets(self):
         g = path_graph(5)

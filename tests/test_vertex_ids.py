@@ -3,15 +3,19 @@ Graph.foreign: an id is a vertex only as an int in 0..n-1, so a float, a
 bool, a string, a negative int, n itself and an unhashable id are each
 answered the entry's documented way, never with a bare TypeError.  The
 search kernels (ball, dist, st_path, distance_map, components) trust their
-ids and are not listed."""
+ids and are not listed; every other public callable is listed or exempt
+with its reason."""
 
 import pytest
 
+import pathpack
 from pathpack import (FatModel, Frame, Graph, HittingCertificate, InputError,
                       Leg, PatternGraph, PreconditionError, SolveParams,
-                      Tripoid, augment, certificate_violations, check_tripoid,
-                      empty_frame, extend_or_hit, far_pair, fat_to_clean,
-                      fatness, frame_to_packing, has_radius_at_most,
+                      Tripoid, TripodResult, augment,
+                      brute_force_packing_exists, certificate_violations,
+                      check_tripod_result, check_tripoid, empty_frame,
+                      extend_or_hit, far_pair, fat_to_clean, fatness,
+                      frame_to_packing, has_radius_at_most,
                       hitting_violations, init_tripoid, is_clean, is_path,
                       is_simple, least_far_pair, make_instance,
                       make_topological, packing_violations, radius_center,
@@ -41,6 +45,12 @@ def tripoid_with_tip(v) -> Tripoid:
     leg = Leg(r=(), w=2, b=(2,))
     return Tripoid(c=frozenset({2}), xi=0, legs=(leg, leg, leg),
                    q=frozenset({2}), vs=(0, 4, v), ell=1, d=1)
+
+
+# a hub {2} on the path 0..9 with connectors to the tips 0 and 4; nothing
+# is searched when an id is foreign, so the rest need only be vertices
+HUB_RESULT = TripodResult(z=frozenset({2}), p=(
+    frozenset({0, 1, 2}), frozenset({2, 3, 4}), frozenset({2})))
 
 
 def model_msg(v) -> str:
@@ -93,6 +103,9 @@ ENTRIES = {
                      InputError, True),
     "tripod": (lambda v: tripod(G, (0, 4, v), frozenset({2}), 1, 1),
                InputError, True),
+    "check_tripod_result": (lambda v: check_tripod_result(
+        G, (0, 4, v), frozenset({2}), 1, 1, HUB_RESULT),
+        lambda v: [f"tips: {v!r} is not a vertex of the graph"], True),
     "far_pair": (lambda v: far_pair(G, [0, v], 1), InputError, True),
     "packing_violations": (lambda v: packing_violations(
         G, A, [(0, 1), (v, 2)], 2, 1),
@@ -107,6 +120,33 @@ ENTRIES = {
         G, A, SolveParams(2, 1), HittingCertificate(
             x=frozenset({v}), radius=1, coarse_threshold=None)),
         lambda v: [hitting_msg(v)], False),
+    "brute_force_packing_exists": (lambda v: brute_force_packing_exists(
+        G, [0, v], 1, 1), InputError, True),
+}
+
+KERNEL = "a search kernel: trusts its ids"
+PATTERN = "reads a pattern graph, not ids of a host"
+CLASS = "a class or type: the entries that read its fields screen them"
+ERROR = "an error class"
+# public callables that take no ids of a host vertex, or trust them
+EXEMPT = {
+    "ball": KERNEL, "components": KERNEL, "dist": KERNEL,
+    "distance_map": KERNEL, "st_path": KERNEL,
+    "check_branch_bound": PATTERN, "degree_classes": PATTERN,
+    "extract_z_paths": PATTERN,
+    "part_vertices": "reads a branch part alone, with no graph",
+    "empty_frame": "takes no graph; the entries given its frame screen it",
+    "make_instance": "builds its graph from a family name and a size",
+    "Graph": "its constructor parses edges; Graph.check_vertex and "
+             "Graph.check_vertex_set are probed above",
+    "AugmentResult": CLASS, "Certificate": CLASS, "DegreeClasses": CLASS,
+    "FatModel": CLASS, "Frame": CLASS, "HitSet": CLASS,
+    "HittingCertificate": CLASS, "Leg": CLASS, "PackingCertificate": CLASS,
+    "Part": CLASS, "PatternGraph": CLASS, "SolveParams": CLASS,
+    "Tripoid": CLASS, "TripodResult": CLASS,
+    "InputError": ERROR, "InternalInvariantError": ERROR,
+    "ParameterRangeError": ERROR, "PreconditionError": ERROR,
+    "SolverError": ERROR,
 }
 
 PROBES = [(name, v) for name, (_, _, unhashable) in ENTRIES.items()
@@ -134,3 +174,28 @@ def test_foreign_lists_the_non_vertices_in_order():
 def test_id_order_sorts_mixed_ids_with_ints_first():
     assert (sorted([N, "a", -1, 1.0, True, 2], key=Graph.id_order)
             == [-1, 2, N, "a", 1.0, True])
+
+
+def test_every_public_callable_is_probed_or_exempt():
+    public = {name for name in pathpack.__all__
+              if callable(getattr(pathpack, name))}
+    assert sorted(public - ENTRIES.keys() - EXEMPT.keys()) == []
+    assert sorted(EXEMPT.keys() - public) == []
+    assert sorted(EXEMPT.keys() & ENTRIES.keys()) == []
+
+
+@pytest.mark.parametrize("field", ["q", "hub", "connector 1"])
+def test_tripod_result_check_names_each_foreign_field(field):
+    """A foreign id in any field is reported under the field's name, and
+    nothing is searched: a float in the hub would fail a search."""
+    q, z, p = frozenset({2}), HUB_RESULT.z, list(HUB_RESULT.p)
+    if field == "q":
+        q = frozenset({1.0})
+    elif field == "hub":
+        z = frozenset({1.0})
+    else:
+        p[1] = frozenset({2, 3, 4, -1})
+    res = TripodResult(z=z, p=tuple(p))
+    bad = -1 if field == "connector 1" else 1.0
+    assert (check_tripod_result(G, (0, 4, 3), q, 1, 1, res)
+            == [f"{field}: {bad!r} is not a vertex of the graph"])
