@@ -13,7 +13,7 @@ from .errors import (InputError, InternalInvariantError, ParameterRangeError,
                      PreconditionError, SolverError)
 from .forest import (DegreeClasses, check_branch_bound, degree_classes,
                      extract_z_paths)
-from .frame import (Certificate, Frame, HitSet, HittingCertificate,
+from .frame import (Certificate, Frame, HittingCertificate,
                     PackingCertificate, SolveParams, certificate_violations,
                     empty_frame, extend_or_hit, frame_to_packing, solve,
                     validate_frame)
@@ -40,7 +40,6 @@ __all__ = [
     "FatModel",
     "Frame",
     "Graph",
-    "HitSet",
     "HittingCertificate",
     "InputError",
     "InternalInvariantError",

@@ -15,17 +15,15 @@ from typing import Optional
 from .errors import InternalInvariantError, PreconditionError, require
 from .graph import (Graph, UNREACHABLE, ball, dist, distance_map,
                     has_radius_at_most, is_path, st_path)
-from .model import (FatModel, Part, PatternGraph, _layered, _refuse_thin,
-                    _require_fat, _simplicity_violations, part_vertices)
+from .model import (FatModel, Part, _layered, _refuse_thin, _require_fat,
+                    _simplicity_violations, part_vertices)
 from .tripod import tripod
 
 
 @dataclass(frozen=True)
 class AugmentResult:
-    """New pattern and model; attached tells whether a pendant vertex was
-    added on top of the subdivision."""
-    attached: bool
-    pattern: PatternGraph
+    """New model, whose pattern subdivides the old edge at sub_vertex;
+    pendant_vertex is the leaf added on top of it, or None."""
     model: FatModel
     sub_vertex: int
     pendant_vertex: Optional[int] = None
@@ -106,8 +104,11 @@ def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
     close and finds their link, and likewise for the fold.
 
     Checks only the output facts of this step: the mid branch set has
-    radius at most 4*ell and every other branch set and part is unchanged.
-    Whether the output is a valid ell-fat model is left to the caller.
+    radius at most 4*ell, and every other branch set and part is unchanged.
+    The radius is checked in the subdivision branch alone: a junction's
+    hub has passed tripod()'s own output check, radius at most
+    floor(1.5*ell).  Whether the output is a valid ell-fat model is left
+    to the caller.
     """
     myz: tuple[int, ...] = m.branch_parts[yz]
     w = p[-1]
@@ -168,6 +169,8 @@ def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
         else:
             # hang a on a pendant vertex, linked by p itself
             pendant = p
+        require(has_radius_at_most(g, mid, 4 * ell),
+                f"mid branch set radius exceeds {4 * ell}")
         sets2[h] = mid
         parts2[e_y] = path_q_y
         parts2[e_z] = path_q_z
@@ -202,13 +205,10 @@ def _augment(g: Graph, m: FatModel, a: int, yz: int, p: tuple[int, ...],
         h2, e_p = pattern2.add_leaf(h)
         sets2[h2] = frozenset({a})
         parts2[e_p] = pendant
-    result = AugmentResult(attached=h2 is not None, pattern=pattern2,
-                           model=FatModel(pattern2, sets2, parts2),
+    result = AugmentResult(model=FatModel(pattern2, sets2, parts2),
                            sub_vertex=h, pendant_vertex=h2)
 
     out = result.model
-    require(has_radius_at_most(g, out.branch_sets[result.sub_vertex], 4 * ell),
-            f"mid branch set radius exceeds {4 * ell}")
     for x, part in m.branch_sets.items():
         require(out.branch_sets.get(x) == part, f"branch set of vertex {x} changed")
     for e, part in m.branch_parts.items():

@@ -187,8 +187,7 @@ def certificate_from_json(text: str) -> tuple[SolveParams, Certificate]:
                 for p in paths):
             raise InputError("packing certificate needs integer path lists")
         cert: Certificate = PackingCertificate(
-            paths=tuple(tuple(p) for p in paths), d=params.d,
-            coarse=params.coarse)
+            paths=tuple(tuple(p) for p in paths))
     elif kind == "hitting":
         xs = doc.get("x")
         radius = doc.get("radius")

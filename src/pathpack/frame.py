@@ -71,9 +71,9 @@ class SolveParams:
 
 @dataclass(frozen=True)
 class PackingCertificate:
+    """At most k terminal paths; their distance d and coarse mode come
+    from the SolveParams the certificate travels with."""
     paths: tuple[tuple[int, ...], ...]
-    d: int
-    coarse: bool
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,6 @@ class HittingCertificate:
 
 
 Certificate = Union[PackingCertificate, HittingCertificate]
-
-
-@dataclass(frozen=True)
-class HitSet:
-    """Intermediate hitting outcome of one extension round."""
-    x: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -155,12 +149,12 @@ def validate_frame(g: Graph, fr: Frame) -> list[str]:
     return out
 
 
-def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, HitSet]:
+def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, frozenset[int]]:
     """One induction round.
 
     The frame must sit at fatness scale 16*ell with r >= 4*ell.  Either a
-    new frame at scale ell with counter i+1 comes back, or the branch-set
-    centers form a hitting set: no terminal path (in coarse mode, no
+    new frame at scale ell with counter i+1 comes back, or the frozenset of
+    branch-set centers, a hitting set: no terminal path (in coarse mode, no
     ell-coarse terminal path) avoids their (r + 8*ell)-balls.
     """
     if fr.ell % 16 != 0:
@@ -184,7 +178,7 @@ def _require_valid(g: Graph, fr: Frame) -> None:
 
 
 def _round(g: Graph, fr: Frame,
-           centers: dict[int, int]) -> Union[Frame, HitSet]:
+           centers: dict[int, int]) -> Union[Frame, frozenset[int]]:
     """extend_or_hit of a frame on the solver's schedule that has passed
     validate_frame, which also bounds its branch sets' radii by fr.r.  The
     new frame is checked once, by validate_frame.
@@ -250,7 +244,7 @@ def _round(g: Graph, fr: Frame,
         if pair is not None:
             break
     if first is None:
-        return HitSet(x=hit)
+        return hit
     close_pair = pair is None  # no candidate holds a pair ell apart
     if close_pair:
         tree, averts = first
@@ -288,7 +282,7 @@ def _round(g: Graph, fr: Frame,
         if close_pair and fr.coarse:
             # every avoiding terminal pair is close, so no ell-coarse
             # terminal path avoids the guarded region
-            return HitSet(x=hit)
+            return hit
         pattern2 = clean.pattern.copy()
         sets2 = dict(clean.branch_sets)
         parts2 = dict(clean.branch_parts)
@@ -400,21 +394,20 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
             require(fr.i == i and fr.ell == params.frame_ell(i),
                     f"frame schedule mismatch at step {i}")
         out = _round(g, fr, centers)
-        if isinstance(out, HitSet):
-            require(len(out.x) <= 2 * fr.i and len(out.x) <= params.bound_f,
-                    f"hitting set size {len(out.x)} exceeds its bound")
+        if isinstance(out, frozenset):
+            require(len(out) <= 2 * fr.i and len(out) <= params.bound_f,
+                    f"hitting set size {len(out)} exceeds its bound")
             require(fr.r + 8 * (fr.ell // 16) <= params.bound_g,
                     "guard radius exceeds the bound")
             cert: Certificate = HittingCertificate(
-                x=out.x, radius=params.bound_g,
+                x=out, radius=params.bound_g,
                 coarse_threshold=params.bound_g if params.coarse else None)
             break
         fr = out
     else:
         paths = _frame_to_packing(g, fr)
         paths.sort(key=lambda p: (min(p), p))
-        cert = PackingCertificate(paths=tuple(paths[:k]), d=params.d,
-                                  coarse=params.coarse)
+        cert = PackingCertificate(paths=tuple(paths[:k]))
     if validate:
         bad = certificate_violations(g, a, params, cert)
         require(not bad, "certificate failed verification: " + "; ".join(bad))

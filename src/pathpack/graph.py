@@ -212,6 +212,7 @@ def st_path(g: Graph, s: Iterable[int], t: Iterable[int], *,
     if not ss.isdisjoint(tt):
         return (min(ss & tt),)
     adj = g.adj
+    # every source is a root, with parent None
     parent = dict.fromkeys(ss)
     # one level at a time, in the order a FIFO queue would visit them
     frontier = sorted(ss)
@@ -226,11 +227,7 @@ def st_path(g: Graph, s: Iterable[int], t: Iterable[int], *,
                     continue
                 parent[v] = u
                 if v in tt:
-                    path = [v]
-                    while path[-1] not in ss:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return tuple(path)
+                    return _tree_path(parent, v)
                 nxt.append(v)
         if not nxt:
             break
@@ -390,6 +387,21 @@ def _take_component(adj, v: int, rest: set[int]) -> list[int]:
     return out
 
 
+def _next_layer(adj, reached: set[int], sphere: list[int],
+                blocked: set[int]) -> list[int]:
+    """One BFS layer in the graph of adj minus blocked: the neighbours of
+    sphere that are neither blocked nor in reached, which they join.  The
+    junction construction grows its sphere chains with it (see
+    tripod._rounds)."""
+    nxt = []
+    for u in sphere:
+        for v in adj[u]:
+            if v not in reached and v not in blocked:
+                reached.add(v)
+                nxt.append(v)
+    return nxt
+
+
 def _connected(g: Graph, sub: Iterable[int]) -> bool:
     """len(components(g, sub)) == 1 in one search: True iff g[sub] is
     nonempty and connected."""
@@ -422,7 +434,8 @@ def _search_tree(g: Graph, v: int,
 
 
 def _tree_path(parent: dict[int, Optional[int]], b: int) -> tuple[int, ...]:
-    """The path from the root of a _search_tree to its vertex b."""
+    """The path to b from its root in a parent map, where a root has parent
+    None: a _search_tree, or st_path's map."""
     path = [b]
     while (u := parent[path[-1]]) is not None:
         path.append(u)

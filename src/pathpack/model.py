@@ -239,15 +239,16 @@ def validate_model(g: Graph, m: FatModel) -> list[str]:
         if not vs:
             violations.append(f"branch part of {name} is empty")
             continue
+        raw = (m.branch_sets if kind == "v" else m.branch_parts)[i]
+        is_tuple = isinstance(raw, tuple)
+        # is_path answers False for a foreign id, so a path is screened once
+        if is_tuple and is_path(g, raw):
+            continue  # a path is connected
         bad = g.foreign(vs)
         if bad:
             violations.append(f"branch part of {name} has out-of-range ids "
                               f"{sorted(bad, key=Graph.id_order)}")
             continue
-        raw = (m.branch_sets if kind == "v" else m.branch_parts)[i]
-        is_tuple = isinstance(raw, tuple)
-        if is_tuple and is_path(g, raw):
-            continue  # a path is connected
         if not _connected(g, vs):
             violations.append(f"branch part of {name} is not connected")
         if is_tuple:

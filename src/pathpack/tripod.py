@@ -32,15 +32,16 @@ from typing import Iterable, NamedTuple, Union
 
 from .errors import (InputError, InternalInvariantError, PreconditionError,
                      require)
-from .graph import (Graph, UNREACHABLE, _connected, _take_component, ball,
-                    dist, has_radius_at_most, is_path, st_path)
+from .graph import (Graph, UNREACHABLE, _connected, _next_layer,
+                    _take_component, ball, dist, has_radius_at_most, is_path,
+                    st_path)
 
 
 class Leg(NamedTuple):
-    """State for one tip: a tail path r from the tip to an anchor w, and a
-    geodesic b of fixed length from w into the working region."""
+    """State for one tip: a tail path r from the tip r[0] to an anchor, and
+    a geodesic b of fixed length from that anchor b[0] = r[-1] into the
+    working region."""
     r: tuple[int, ...]
-    w: int
     b: tuple[int, ...]
 
 
@@ -49,14 +50,14 @@ class Tripoid:
     """Working state of the junction construction.
 
     c is the current working region, a connected subset of q.  xi marks the
-    leg whose geodesic is allowed to be close to the others.  The remaining
-    fields record the call context so the state is self-checking.
+    leg whose geodesic is allowed to be close to the others.  Tip i is
+    legs[i].r[0].  The remaining fields record the call context so the
+    state is self-checking.
     """
     c: frozenset[int]
     xi: int
     legs: tuple[Leg, Leg, Leg]
     q: frozenset[int]
-    vs: tuple[int, int, int]
     ell: int
     d: int
 
@@ -77,9 +78,8 @@ def _foreign_ids(g: Graph, named: list[tuple[str, Iterable]]) -> list[str]:
 
 def _tripoid_fields(t: Tripoid) -> list[tuple[str, Iterable]]:
     """The id fields of t, each with its name."""
-    named = [("working region", t.c), ("q", t.q), ("tips", t.vs)]
-    return named + [(f"leg {i}", (*leg.r, leg.w, *leg.b))
-                    for i, leg in enumerate(t.legs)]
+    named = [("working region", t.c), ("q", t.q)]
+    return named + [(f"leg {i}", (*leg.r, *leg.b)) for i, leg in enumerate(t.legs)]
 
 
 def check_tripoid(g: Graph, t: Tripoid) -> list[str]:
@@ -109,29 +109,26 @@ def _leg_violations(g: Graph, t: Tripoid) -> list[str]:
     ell, d = t.ell, t.d
     ball_q = ball(g, t.q, ell)
     for i, leg in enumerate(t.legs):
-        v = t.vs[i]
         if not is_path(g, leg.r):
             out.append(f"leg {i}: tail is not a path")
             continue
-        if leg.r[0] != v or leg.r[-1] != leg.w:
-            out.append(f"leg {i}: tail does not run from tip {v} to anchor {leg.w}")
         if dist(g, leg.r, t.c, cutoff=ell - 1) is not UNREACHABLE:
             out.append(f"leg {i}: tail comes closer than {ell} to the working region")
         if not is_path(g, leg.b):
             out.append(f"leg {i}: geodesic is not a path")
             continue
-        if leg.b[0] != leg.w:
-            out.append(f"leg {i}: geodesic does not start at the anchor")
+        if leg.b[0] != leg.r[-1]:
+            out.append(f"leg {i}: geodesic does not start where the tail ends")
         if leg.b[-1] not in t.c:
             out.append(f"leg {i}: geodesic does not end in the working region")
         if len(leg.b) - 1 != ell:
             out.append(f"leg {i}: geodesic has length {len(leg.b) - 1}, expected {ell}")
         if any(x in t.c for x in leg.b[:-1]):
             out.append(f"leg {i}: geodesic re-enters the working region")
-        if dist(g, {leg.w}, t.c, cutoff=ell) != ell:
+        if dist(g, {leg.b[0]}, t.c, cutoff=ell) != ell:
             out.append(f"leg {i}: anchor is not at distance exactly {ell} "
                        "from the working region")
-        allowed = ball(g, {v}, d - ell - 1) | ball_q
+        allowed = ball(g, {leg.r[0]}, d - ell - 1) | ball_q
         stray = set(leg.r) - allowed
         if stray:
             out.append(f"leg {i}: tail vertex {min(stray)} is neither near its "
@@ -178,15 +175,14 @@ def init_tripoid(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
             raise PreconditionError(
                 f"tip {v} is at distance {dv} > d={d} from q")
         cut = dv - ell
-        legs.append(Leg(r=s[:cut + 1], w=s[cut], b=s[cut:]))
+        legs.append(Leg(r=s[:cut + 1], b=s[cut:]))
     for i in range(3):
         for j in range(i + 1, 3):
             dij = dist(g, {vs[i]}, {vs[j]}, cutoff=2 * d - 1)
             if dij is not UNREACHABLE:
                 raise PreconditionError(
                     f"tips {vs[i]} and {vs[j]} are at distance {dij} < 2*d={2 * d}")
-    t = Tripoid(c=q, xi=0, legs=(legs[0], legs[1], legs[2]),
-                q=q, vs=tuple(vs), ell=ell, d=d)
+    t = Tripoid(c=q, xi=0, legs=(legs[0], legs[1], legs[2]), q=q, ell=ell, d=d)
     # the ids were screened and q searched above, and the legs are paths
     # that st_path found in g, so only the leg facts are left to check
     bad = _leg_violations(g, t)
@@ -201,19 +197,6 @@ def _result(z: frozenset[int], tail_sets: list[set[int]],
     p = [frozenset(tail) for tail in tail_sets]
     p[rest] = p[rest] | frozenset(bs[rest]) | c
     return TripodResult(z=z, p=(p[0], p[1], p[2]))
-
-
-def _next_layer(adj, reached: set[int], sphere: list[int],
-                tail: set[int]) -> list[int]:
-    """The vertices one step past sphere in g minus tail that reached does
-    not hold yet; they are added to reached."""
-    nxt = []
-    for u in sphere:
-        for v in adj[u]:
-            if v not in reached and v not in tail:
-                reached.add(v)
-                nxt.append(v)
-    return nxt
 
 
 def _rounds(g: Graph, t: Tripoid,
@@ -380,9 +363,9 @@ def _rounds(g: Graph, t: Tripoid,
         xi = alpha
         require(len(c) < size, "working region did not shrink")
 
-    legs = [Leg(r=tuple(tails[i]), w=bs[i][0], b=bs[i]) for i in range(3)]
+    legs = [Leg(r=tuple(tails[i]), b=bs[i]) for i in range(3)]
     return Tripoid(c=frozenset(c), xi=xi, legs=(legs[0], legs[1], legs[2]),
-                   q=t.q, vs=t.vs, ell=ell, d=t.d), limit
+                   q=t.q, ell=ell, d=t.d), limit
 
 
 def tripod_step(g: Graph, t: Tripoid) -> Union[TripodResult, Tripoid]:

@@ -16,7 +16,7 @@ from helpers import (ACCEPTANCE_LINES, c6_grid_model, check_forest_paths,
                      generated_tripod_instances, grid_graph, k2_path_model,
                      p3_path_model, path_graph, random_subcubic_forest,
                      star_grid_model)
-from pathpack import (FatModel, Graph, HitSet, HittingCertificate,
+from pathpack import (FatModel, Graph, HittingCertificate,
                       PackingCertificate, PatternGraph, SolveParams,
                       TripodResult, UNREACHABLE,
                       brute_force_packing_exists, check_branch_bound,
@@ -351,7 +351,7 @@ def replay_schedule(g: Graph, a: frozenset[int], params: SolveParams):
                                         params.frame_r)
         assert validate_frame(g, fr) == []
         fr = extend_or_hit(g, fr)
-        if isinstance(fr, HitSet):
+        if isinstance(fr, frozenset):
             return fr
     assert fr.i == 2 * params.k - 1
     assert validate_frame(g, fr) == []
@@ -372,10 +372,10 @@ def test_criterion_9():
         assert isinstance(cert, HittingCertificate)
 
         end = replay_schedule(g3, a3, SolveParams(2, 1))
-        assert not isinstance(end, HitSet)
+        assert not isinstance(end, frozenset)
         paths = frame_to_packing(g3, end)
         assert len(paths) >= 2
         assert verify_packing(g3, a3, paths[:2], 2, 1, False)
         end = replay_schedule(g4, a4, SolveParams(2, 1))
-        assert isinstance(end, HitSet)
-        assert len(end.x) <= 4
+        assert isinstance(end, frozenset)
+        assert len(end) <= 4

@@ -50,8 +50,8 @@ def common_checks(g, m, res, ell):
     assert res.model.branch_sets[0] == m.branch_sets[0]
     assert res.model.branch_sets[1] == m.branch_sets[1]
     # the old edge is gone, replaced by the subdivision vertex
-    assert 0 not in res.pattern.edge_ids()
-    assert res.pattern.degree(res.sub_vertex) >= 2
+    assert 0 not in res.model.pattern.edge_ids()
+    assert res.model.pattern.degree(res.sub_vertex) >= 2
     mid = part_vertices(res.model.branch_sets[res.sub_vertex])
     assert radius_center(g, mid)[1] <= 4 * ell
 
@@ -60,7 +60,6 @@ class TestSubdividedCase:
     def test_result(self):
         g, m, a, p = subdivided_host()
         res = augment(g, m, a, 0, p, 1)
-        assert res.attached is False
         assert res.pendant_vertex is None
         assert res.sub_vertex == 2
         common_checks(g, m, res, 1)
@@ -72,16 +71,15 @@ class TestSubdividedCase:
     def test_pattern_is_p3(self):
         g, m, a, p = subdivided_host()
         res = augment(g, m, a, 0, p, 1)
-        assert res.pattern.n_vertices == 3
-        assert res.pattern.n_edges == 2
-        assert res.pattern.degree(2) == 2
+        assert res.model.pattern.n_vertices == 3
+        assert res.model.pattern.n_edges == 2
+        assert res.model.pattern.degree(2) == 2
 
 
 class TestAttachedCase:
     def test_result(self):
         g, m, a, p = attached_host()
         res = augment(g, m, a, 0, p, 1)
-        assert res.attached is True
         assert res.sub_vertex == 2
         assert res.pendant_vertex == 3
         common_checks(g, m, res, 1)
@@ -96,17 +94,16 @@ class TestAttachedCase:
     def test_pattern_shape(self):
         g, m, a, p = attached_host()
         res = augment(g, m, a, 0, p, 1)
-        assert res.pattern.n_vertices == 4
-        assert res.pattern.n_edges == 3
-        assert res.pattern.degree(res.sub_vertex) == 3
-        assert res.pattern.degree(res.pendant_vertex) == 1
+        assert res.model.pattern.n_vertices == 4
+        assert res.model.pattern.n_edges == 3
+        assert res.model.pattern.degree(res.sub_vertex) == 3
+        assert res.model.pattern.degree(res.pendant_vertex) == 1
 
 
 class TestJunctionCase:
     def test_result(self):
         g, m, a, p = junction_host()
         res = augment(g, m, a, 0, p, 1)
-        assert res.attached is True
         assert res.pendant_vertex is not None
         common_checks(g, m, res, 1)
         assert res.model.branch_sets[res.pendant_vertex] == frozenset({406})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from itertools import combinations
@@ -253,13 +254,23 @@ class TestVertexSetText:
 class TestCertificateJson:
     def test_packing_round_trip(self):
         params = SolveParams(2, 1)
-        cert = PackingCertificate(((0, 1, 2), (5, 6)), 1, False)
+        cert = PackingCertificate(((0, 1, 2), (5, 6)))
         text = certificate_to_json(cert, params)
         params2, cert2 = certificate_from_json(text)
         assert params2 == params
         assert cert2 == cert
         # serialization is byte-stable
         assert certificate_to_json(cert2, params2) == text
+
+    @pytest.mark.parametrize("params", [SolveParams(2, 1),
+                                        SolveParams(2, 5, coarse=True)])
+    def test_packing_certificate_holds_only_its_paths(self, params):
+        """d and coarse travel in the SolveParams written with the paths,
+        so the certificate read back equals the one written under any
+        params."""
+        assert [f.name for f in dataclasses.fields(PackingCertificate)] == ["paths"]
+        cert = PackingCertificate(((0, 1, 2), (5, 6)))
+        assert certificate_from_json(certificate_to_json(cert, params)) == (params, cert)
 
     def test_hitting_round_trip(self):
         params = SolveParams(2, 3, coarse=True)
@@ -271,8 +282,7 @@ class TestCertificateJson:
 
     def test_key_order_is_fixed(self):
         params = SolveParams(1, 1)
-        packing = certificate_to_json(PackingCertificate(((0, 1),), 1, False),
-                                      params)
+        packing = certificate_to_json(PackingCertificate(((0, 1),)), params)
         keys = [k for k, _ in json.loads(packing, object_pairs_hook=list)]
         assert keys == ["type", "k", "d", "coarse", "paths", "bounds"]
         hitting = certificate_to_json(HittingCertificate(frozenset(), 256),
@@ -346,7 +356,7 @@ class TestCertificateJson:
 
     def test_file_round_trip(self, tmp_path):
         params = SolveParams(1, 2)
-        cert = PackingCertificate(((3, 4),), 2, False)
+        cert = PackingCertificate(((3, 4),))
         p = tmp_path / "cert.json"
         write_certificate(cert, params, str(p))
         assert read_certificate(str(p)) == (params, cert)

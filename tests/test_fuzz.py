@@ -16,7 +16,7 @@ from itertools import combinations
 
 import pytest
 
-from pathpack import (FatModel, Frame, Graph, HitSet, HittingCertificate,
+from pathpack import (FatModel, Frame, Graph, HittingCertificate,
                       PackingCertificate, PatternGraph, SolveParams, ball,
                       components, distance_map, empty_frame, extend_or_hit,
                       far_pair, hitting_violations, part_vertices,
@@ -131,12 +131,12 @@ def check_round(g: Graph, fr: Frame, out, seen: Counter) -> None:
     if guard and cands:
         seen["guarded"] += 1
         seen["guarded small candidates"] += sum(len(c) <= ell for c in comps)
-    if isinstance(out, HitSet):
+    if isinstance(out, frozenset):
         seen["hit"] += 1
-        assert out.x == frozenset(centers)
+        assert out == frozenset(centers)
         assert not cands or (fr.coarse and ref is None)
         threshold = ell if fr.coarse else None
-        assert hitting_violations(g, a, out.x, fr.r + 8 * ell, len(out.x),
+        assert hitting_violations(g, a, out, fr.r + 8 * ell, len(out),
                                   threshold) == []
         return
     new = sorted(set(out.pattern.vertex_ids()) - set(fr.pattern.vertex_ids()))
@@ -169,7 +169,7 @@ def test_rounds_with_a_partial_guard_match_the_reference(coarse):
             while fr.ell % 16 == 0:
                 out = extend_or_hit(g, fr)
                 check_round(g, fr, out, seen)
-                if isinstance(out, HitSet):
+                if isinstance(out, frozenset):
                     break
                 fr = out
     assert seen["guarded"] >= 300 and seen["guarded small candidates"] >= 20

@@ -1,9 +1,9 @@
 """Source checks: every module keeps every invariant under python -O,
-host-graph searches live in graph.py, Graph.__init__ alone builds a graph,
-the solver calls no public step that checks its input, only the exact
-reports call _fatness without a bound, the verifiers import a pinned set
-of names from graph.py, and only graph.py compares a value with the vertex
-count g.n.
+host-graph searches, down to one BFS layer over adj[...], live in
+graph.py, Graph.__init__ alone builds a graph, the solver calls no public
+step that checks its input, only the exact reports call _fatness without
+a bound, the verifiers import a pinned set of names from graph.py, and
+only graph.py compares a value with the vertex count g.n.
 
 A bare assert and an `if __debug__:` block both vanish when Python runs
 with -O, so an invariant kept that way silently stops being checked.  An
@@ -95,8 +95,8 @@ def host_adjacency_readers(source: str) -> list[str]:
     return out
 
 
-# tripod._rounds counts a region endpoint's neighbors and picks one; that
-# is no search
+# tripod._rounds picks a region endpoint's neighbours, and hands g.adj to
+# graph.py's kernels for its searches and its sphere layers
 HOST_ADJACENCY_READERS = {"tripod": ["_rounds"]}
 
 
@@ -112,6 +112,47 @@ def test_adjacency_detector_names_the_reading_functions():
               "def h(tree):\n    return tree.adj\n"
               "class C:\n    def m(self, g):\n        adj = g.adj\n")
     assert host_adjacency_readers(source) == ["f", "m"]
+
+
+def adjacency_loops(source: str) -> list[str]:
+    """Top-level functions and methods of the given source that hold a for
+    statement over adj[...] or x.adj[...], each named once: a search step
+    walking an adjacency list.  A comprehension is no for statement."""
+    out = []
+    for top in ast.parse(source).body:
+        defs = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in defs:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if any(isinstance(sub, ast.For) and isinstance(sub.iter, ast.Subscript)
+                   and _names_adj(sub.iter.value) for sub in ast.walk(node)):
+                out.append(node.name)
+    return out
+
+
+def _names_adj(node: ast.expr) -> bool:
+    """True for the name adj and for any attribute .adj."""
+    return (isinstance(node, ast.Name) and node.id == "adj"
+            or isinstance(node, ast.Attribute) and node.attr == "adj")
+
+
+# Every module but the verifiers' leaves its BFS loops to graph.py, so that
+# one place can count the vertices a search visits.
+@pytest.mark.parametrize("module", [m for m in MODULES
+                                    if m not in ("graph", "oracle")])
+def test_adjacency_loops_live_in_graph(module):
+    assert adjacency_loops((SRC / f"{module}.py").read_text()) == []
+
+
+def test_adjacency_loop_detector_sees_each_for_statement():
+    source = ("def f(adj, front):\n    for u in front:\n"
+              "        for v in adj[u]:\n            pass\n"
+              "def h(g):\n    for v in g.adj[0]:\n        pass\n"
+              "def k(adj, c):\n    return [u for u in adj[0] if u in c]\n"
+              "def r(adj):\n    for u in adj:\n        pass\n"
+              "class C:\n    def m(self):\n"
+              "        for v in self.adj[1]:\n            pass\n")
+    assert adjacency_loops(source) == ["f", "h", "m"]
 
 
 def graph_imports(source: str) -> set[str]:

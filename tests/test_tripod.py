@@ -120,7 +120,7 @@ def shrink_branches(g, before, after):
     alpha = after.xi
     end = before.legs[alpha].b[-1]
     leaf = sum(1 for u in g.adj[end] if u in before.c) <= 1
-    slid = after.legs[alpha].w != before.legs[alpha].w
+    slid = after.legs[alpha].b[0] != before.legs[alpha].b[0]
     return ("leaf removal" if leaf else "component replacement",
             "geodesic slide" if slid else "geodesic rebuild")
 
@@ -378,12 +378,10 @@ def test_init_tripoid_structure():
     t = init_tripoid(g, vs, q, ell, d)
     assert t.c == q
     assert t.q == q
-    assert t.vs == vs
     for i, leg in enumerate(t.legs):
         assert leg.r[0] == vs[i]
-        assert leg.r[-1] == leg.w
         assert len(leg.b) == ell + 1
-        assert leg.b[0] == leg.w
+        assert leg.b[0] == leg.r[-1]
 
 
 def test_init_tripoid_searches_q_once(monkeypatch):
@@ -456,12 +454,13 @@ class TestPreconditions:
         (lambda t: dataclasses.replace(t, c=frozenset()),
          "working region is empty"),
         (lambda t: dataclasses.replace(t, legs=(
-            t.legs[0], t.legs[1], Leg(r=(30,), w=30, b=t.legs[2].b))),
-         "leg 2: geodesic does not start at the anchor")])
+            t.legs[0], t.legs[1], Leg(r=(30,), b=t.legs[2].b))),
+         "leg 2: geodesic does not start where the tail ends")])
     def test_step_refuses_an_invalid_state(self, break_state, message):
         """tripod_step checks its state as init_tripoid leaves it: an
-        empty region, or a leg whose geodesic does not start at its anchor,
-        would otherwise come back as a result with a broken connector."""
+        empty region, or a leg whose geodesic does not start where its tail
+        ends, would otherwise come back as a result with a broken
+        connector."""
         g, _ = make_instance("spider", 41)
         t = init_tripoid(g, (10, 20, 30), frozenset({0}), 2, 10)
         with pytest.raises(PreconditionError, match=f"invalid tripoid: {message}"):
@@ -470,9 +469,11 @@ class TestPreconditions:
     @pytest.mark.parametrize("break_state", [
         lambda t: dataclasses.replace(t, c=frozenset({0, 100})),
         lambda t: dataclasses.replace(t, q=frozenset({0, -1})),
-        lambda t: dataclasses.replace(t, vs=(10, 20, 99)),
-        lambda t: dataclasses.replace(
-            t, legs=(*t.legs[:2], t.legs[2]._replace(w=999))),
+        lambda t: dataclasses.replace(t, legs=(
+            *t.legs[:2], t.legs[2]._replace(r=(99,) + t.legs[2].r[1:]))),
+        lambda t: dataclasses.replace(t, legs=(
+            t.legs[0], t.legs[1]._replace(b=t.legs[1].b[:1] + (999,)),
+            t.legs[2])),
         lambda t: dataclasses.replace(
             t, legs=(t.legs[0]._replace(r=(-1,) + t.legs[0].r), *t.legs[1:])),
         lambda t: dataclasses.replace(
@@ -480,8 +481,8 @@ class TestPreconditions:
         lambda t: dataclasses.replace(
             t, legs=(t.legs[0]._replace(r=([1],) + t.legs[0].r), *t.legs[1:]))])
     def test_step_refuses_ids_outside_the_graph(self, break_state):
-        """-1 would index the last vertex, and 41 or more no vertex; a tail
-        or geodesic id is screened as the tips and anchors are, and so is
+        """-1 would index the last vertex, and 41 or more no vertex; a tip,
+        any other tail id and a geodesic id are screened alike, and so is
         an unhashable one."""
         g, _ = make_instance("spider", 41)
         t = init_tripoid(g, (10, 20, 30), frozenset({0}), 2, 10)
@@ -493,8 +494,6 @@ class TestPreconditions:
          "working region: 100 is not a vertex of the graph"),
         (lambda t: dataclasses.replace(t, q=frozenset({0, -1})),
          "q: -1 is not a vertex of the graph"),
-        (lambda t: dataclasses.replace(t, vs=(10, 20, 99)),
-         "tips: 99 is not a vertex of the graph"),
         (lambda t: dataclasses.replace(t, legs=(
             *t.legs[:2], t.legs[2]._replace(b=t.legs[2].b + (41,)))),
          "leg 2: 41 is not a vertex of the graph"),
@@ -509,6 +508,18 @@ class TestPreconditions:
         t = init_tripoid(g, (10, 20, 30), frozenset({0}), 2, 10)
         assert g.n == 41 and check_tripoid(g, t) == []
         assert check_tripoid(g, break_state(t)) == [message]
+
+    def test_tail_that_ends_off_its_geodesic_is_one_violation(self):
+        """The anchor is stored once, as the geodesic's first vertex, so a
+        tail that stops one vertex short of it breaks one invariant, and
+        check_tripoid reports it once."""
+        g, _ = make_instance("spider", 41)
+        t = init_tripoid(g, (10, 20, 30), frozenset({0}), 2, 10)
+        leg = t.legs[2]
+        short = dataclasses.replace(
+            t, legs=(*t.legs[:2], leg._replace(r=leg.r[:-1])))
+        assert check_tripoid(g, short) == [
+            "leg 2: geodesic does not start where the tail ends"]
 
 
 @pytest.mark.parametrize("hub", [frozenset(), frozenset({0, 20})])
