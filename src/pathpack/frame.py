@@ -195,13 +195,14 @@ def _round(g: Graph, fr: Frame,
     FIFO search from the candidate's least terminal in g minus the guard,
     whose parent tree holds the path st_path would find within the
     candidate to any of its vertices.  The far-pair test, given terminals
-    it knows to lie in one component, stops its first search at ell - 1,
+    it knows to lie in one component, stops its first map at ell - 1,
     where the round's answer is decided.  Searches whose answer the sizes
     already fix are skipped: a candidate of at most ell vertices has no
     pair ell apart, and neither has any candidate once at most ell
     unsearched vertices are left.  With no guard a candidate is a whole
     component, so a close pair's path is already its geodesic in the
-    host.
+    host, and the far-pair test reads its maps from the least terminal off
+    the candidate's tree, with no search of its own.
     """
     ell = fr.ell // 16
     # a valid frame's model is fr.ell = (8*ell + 2*4*ell)-fat, all that
@@ -240,7 +241,10 @@ def _round(g: Graph, fr: Frame,
             continue
         if first is None:
             first = (tree, averts)
-        pair = _least_far_pair(g, averts, ell) if len(tree) > ell else None
+        # with no guard the tree spans a whole component, and the far-pair
+        # test reads its maps from the candidate's least terminal off it
+        pair = (_least_far_pair(g, averts, ell, None if guard else tree)
+                if len(tree) > ell else None)
         if pair is not None:
             break
     if first is None:
@@ -378,8 +382,9 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     the last round's check (or the empty start) found it.  A round skips
     the far-pair searches that the sizes of its components decide, reads
     its path off the one search that finds its candidate, cuts its
-    far-pair test at ell, and keeps one table of branch-set centers per
-    solve, so only augment's sets are measured.  The final frame is
+    far-pair test at ell, reads that test's first map off the candidate's
+    search when it has no guard, and keeps one table of branch-set centers
+    per solve, so only augment's sets are measured.  The final frame is
     unwound without a second validate_frame.
     validate=True adds two checks: every frame's counter and scale are
     compared with the schedule, and the final certificate is verified

@@ -260,6 +260,39 @@ def _levels(adj, src: Iterable[int], cutoff: Optional[int | float]) -> dict[int,
     return dmap
 
 
+def _tree_levels(tree: dict[int, Optional[int]],
+                 cutoff: Optional[int | float]) -> dict[int, int]:
+    """_levels(g.adj, (root,), cutoff) read off a _search_tree of the root's
+    whole component in g, with no search: the same keys, values and key
+    order, and always the root.  Its cost is the map it returns."""
+    items = iter(tree.items())
+    root, _ = next(items)
+    dmap = {root: 0}
+    limit = UNREACHABLE if cutoff is None else cutoff
+    # the tree lists its vertices in the order the search reached them,
+    # level by level, so the first one beyond the cut ends the map
+    for v, u in items:
+        depth = dmap[u] + 1
+        if depth > limit:
+            break
+        dmap[v] = depth
+    return dmap
+
+
+def _farthest(dmap: dict[int, int]) -> int:
+    """max(dmap, key=lambda v: (dmap[v], -v)) for a level-ordered map, one
+    from _levels or _tree_levels: the least id in its last level, read
+    backward from the end."""
+    items = reversed(dmap.items())
+    best, last = next(items)
+    for v, depth in items:
+        if depth != last:
+            break
+        if v < best:
+            best = v
+    return best
+
+
 # Most full searches _sweeps runs beyond the one it is given.
 _SWEEPS = 4
 
@@ -269,13 +302,16 @@ def _sweeps(g: Graph, first: dict[int, int]) -> Iterator[dict[int, int]]:
     one farthest from both, the one farthest from that, and finally from the
     vertex whose largest distance to all four sources is least: a central
     vertex, whose eccentricity is about half the diameter.  Ties go to the
-    lowest id.  Each source is picked, and its search run, only when the
-    caller asks for the next map."""
+    lowest id.  first is a level-ordered map, so the first and third sources
+    are the least ids in the last level of first and of the second map; the
+    second source and the center are found by a scan of every vertex.  Each
+    source is picked, and its search run, only when the caller asks for the
+    next map."""
     maps = [first]
-    for pick in (lambda v: maps[0][v],
-                 lambda v: min(maps[0][v], maps[1][v]),
-                 lambda v: maps[2][v]):
-        maps.append(distance_map(g, {max(first, key=lambda v: (pick(v), -v))}))
+    for i in range(3):
+        src = (max(first, key=lambda v: (min(first[v], maps[1][v]), -v))
+               if i == 1 else _farthest(maps[i]))
+        maps.append(distance_map(g, {src}))
         yield maps[-1]
     center = min(first, key=lambda v: (max(m[v] for m in maps), v))
     yield distance_map(g, {center})
@@ -292,32 +328,42 @@ def least_far_pair(g: Graph, averts: Iterable[int],
     ecc(v) <= d(s, v) + ecc(s) for every swept source s (Takes and Kosters,
     CIKM 2011).  The sweeps stop as soon as no bound reaches threshold, and
     only vertices whose bound still reaches it get a search of their own.
-    Raises InputError for an id outside g, and PreconditionError when some
-    vertex is unreachable from the least one.
+    The search that checks every vertex lies in the least one's component
+    is also the one the first distance map is read from.  Raises InputError
+    for an id outside g, and PreconditionError when some vertex is
+    unreachable from the least one.
     """
     averts = sorted(g.check_vertex_set(averts))
     if not averts:
         return None
-    dm = distance_map(g, {averts[0]})
-    if any(b not in dm for b in averts):
+    tree = _search_tree(g, averts[0], frozenset())
+    if any(b not in tree for b in averts):
         raise PreconditionError("far-pair vertices lie in different components")
-    return _least_far_pair(g, averts, threshold, dm)
+    return _least_far_pair(g, averts, threshold, tree)
 
 
 def _least_far_pair(g: Graph, averts: list[int], threshold: int,
-                    first: Optional[dict[int, int]] = None
+                    tree: Optional[dict[int, Optional[int]]] = None
                     ) -> Optional[tuple[int, int]]:
     """least_far_pair of sorted distinct ids that lie in one component of
     g, without its id screen and component check.
 
-    first is the whole distance map from averts[0], when the caller holds
-    one.  Without it the first search stops at threshold - 1: a vertex
-    beyond the cut is at least threshold away, since it is reachable.  The
-    sweeps need the whole map, which the cut map is when its deepest level
-    lies below the cutoff; only otherwise is the search run again uncut.
+    tree is the _search_tree of averts[0]'s whole component in g, when the
+    caller holds one: the distance maps from averts[0] are then read off it
+    by _tree_levels, with no search, and otherwise searched by _levels.  The
+    first map stops at threshold - 1: a vertex beyond the cut is at least
+    threshold away, since it is reachable.  The sweeps need the whole map,
+    which the cut map is when its deepest level lies below the cutoff; only
+    otherwise is the whole map taken as well.
     """
     a = averts[0]
-    dm = _levels(g.adj, (a,), threshold - 1) if first is None else first
+
+    def levels(cutoff):
+        if tree is None:
+            return _levels(g.adj, (a,), cutoff)
+        return _tree_levels(tree, cutoff)
+
+    dm = levels(threshold - 1)
     rest = averts[1:]
     far = next((b for b in rest if dm.get(b, threshold) >= threshold), None)
     if far is not None:
@@ -329,8 +375,9 @@ def _least_far_pair(g: Graph, averts: list[int], threshold: int,
     bound = [dm[v] + worst for v in rest]
     # with at most four vertices left the sweeps cannot save what they cost
     if len(rest) > _SWEEPS:
-        if first is None and max(dm.values()) >= threshold - 1:
-            dm = _levels(g.adj, (a,), None)
+        # a level-ordered map's deepest level is its last
+        if next(reversed(dm.values())) >= threshold - 1:
+            dm = levels(None)
         for sweep in _sweeps(g, dm):
             ecc = max(sweep[b] for b in averts)
             bound = [min(ub, sweep[v] + ecc) for ub, v in zip(bound, rest)]

@@ -235,23 +235,39 @@ class TestExtendOrHit:
         assert out.model.branch_sets == {0: frozenset({3}), 1: frozenset({19})}
         assert out.model.branch_parts == {0: tuple(range(3, 20))}
 
-    def test_guarded_close_pair_stores_its_host_geodesic(self):
-        # K2 frame on the path 0..256 at scale 256 with r=64: ell=16 and the
-        # guard is the 192-ball around 0 and 256.  A spike of 190 edges
-        # from 0 ends at w=446; terminals 451 and 456 hang 5 edges off w,
-        # just outside the guard, and a detour of 14 edges joins them
-        # outside it.  Their stored path is the host geodesic through w.
+    @staticmethod
+    def guarded_pair_frame(detour):
+        """K2 frame on the path 0..256 at scale 256 with r=64: ell=16 and
+        the guard is the 192-ball around 0 and 256.  A spike of 190 edges
+        from 0 ends at w=446; terminals 451 and 456 hang 5 edges off w,
+        just outside the guard, and a detour of the given number of edges
+        joins them outside it."""
         spike = [0, *range(257, 447)]
         arms = [[446, *range(447, 452)], [446, *range(452, 457)],
-                [451, *range(457, 470), 456]]
+                [451, *range(457, 456 + detour), 456]]
         edges = chain_edges(257)
         for line in (spike, *arms):
             edges += list(zip(line, line[1:]))
-        g = Graph(470, edges)
+        g = Graph(456 + detour, edges)
         pat = PatternGraph.from_parts([0, 1], {0: (0, 1)})
         m = FatModel(pat, {0: frozenset({0}), 1: frozenset({256})},
                      {0: tuple(range(257))})
-        fr = Frame(m, 1, 256, 64, False, frozenset({0, 256, 451, 456}))
+        return g, Frame(m, 1, 256, 64, False, frozenset({0, 256, 451, 456}))
+
+    def test_guarded_close_pair_stores_its_host_geodesic(self):
+        # the detour of 14 edges is no geodesic: the stored path is the
+        # host geodesic through w
+        g, fr = self.guarded_pair_frame(14)
+        out = extend_or_hit(g, fr)
+        assert out.model.branch_sets[2] == (*range(451, 445, -1),
+                                            *range(452, 457))
+
+    def test_guarded_far_pair_test_measures_host_distances(self):
+        # outside the guard 451 and 456 are 20 >= ell apart, but in the
+        # host 10 < ell: a guarded candidate's search tree gives no host
+        # distances, so the far-pair test searches the host and the round
+        # stores the close pair
+        g, fr = self.guarded_pair_frame(20)
         out = extend_or_hit(g, fr)
         assert out.model.branch_sets[2] == (*range(451, 445, -1),
                                             *range(452, 457))

@@ -363,7 +363,8 @@ class TestLeastFarPair:
     def test_pruned_grid_search(self, monkeypatch):
         # without corner 0 the only pair at the diameter 78 is the other
         # two corners; oracle.far_pair searches from each of 1..39, the
-        # sweeps leave only vertices near corners to search
+        # sweeps leave only vertices near corners to search.  The entry's
+        # component search counts too: the first map is read off it
         g = grid_graph(40)
         a = range(1, 1600)
         searches = []
@@ -372,7 +373,12 @@ class TestLeastFarPair:
             searches.append(1)
             return distance_map(*args, **kwargs)
 
+        def counted_tree(*args, _fn=graph_module._search_tree):
+            searches.append(1)
+            return _fn(*args)
+
         monkeypatch.setattr(graph_module, "distance_map", counted)
+        monkeypatch.setattr(graph_module, "_search_tree", counted_tree)
         assert least_far_pair(g, a, 78) == (39, 1560)
         assert len(searches) < 10
         searches.clear()
@@ -393,6 +399,22 @@ class TestLeastFarPair:
         with pytest.raises(InputError):
             far(g, averts, 3)
 
+    @staticmethod
+    def grid_sources(monkeypatch, threshold, tree=None):
+        """The sources of the searches _least_far_pair runs on the 10x10
+        grid with all 100 vertices, which has no pair threshold apart."""
+        g = grid_graph(10)
+        sources = []
+
+        def counted(adj, src, cutoff, _fn=graph_module._levels):
+            sources.append(tuple(src))
+            return _fn(adj, src, cutoff)
+
+        monkeypatch.setattr(graph_module, "_levels", counted)
+        far = graph_module._least_far_pair(g, list(range(100)), threshold, tree)
+        assert far is None
+        return sources
+
     @pytest.mark.parametrize("threshold, from_least", [(25, 1), (19, 2)])
     def test_the_cut_first_map_serves_the_sweeps(self, monkeypatch, threshold,
                                                  from_least):
@@ -402,17 +424,18 @@ class TestLeastFarPair:
         its deepest level and might have missed vertices beyond it, so the
         search from 0 runs once more uncut.  The first sweep starts from
         99, the vertex farthest from 0."""
-        g = grid_graph(10)
-        sources = []
-
-        def counted(adj, src, cutoff, _fn=graph_module._levels):
-            sources.append(tuple(src))
-            return _fn(adj, src, cutoff)
-
-        monkeypatch.setattr(graph_module, "_levels", counted)
-        far = graph_module._least_far_pair(g, list(range(100)), threshold)
-        assert far is None
+        sources = self.grid_sources(monkeypatch, threshold)
         assert sources[:from_least + 1] == [(0,)] * from_least + [(99,)]
+
+    @pytest.mark.parametrize("threshold", [25, 19])
+    def test_the_search_tree_gives_the_first_maps(self, monkeypatch, threshold):
+        """Given the search tree from 0, the cut map and the whole one are
+        read off it: no search runs from 0, and the first sweep still
+        starts from 99."""
+        tree = graph_module._search_tree(grid_graph(10), 0, frozenset())
+        sources = self.grid_sources(monkeypatch, threshold, tree)
+        assert (0,) not in sources
+        assert sources[0] == (99,)
 
     @pytest.mark.parametrize("threshold, searches",
                              [(20, 5), (25, 5)] + [(t, 2) for t in range(28, 37)])
@@ -437,8 +460,9 @@ class TestLeastFarPair:
 
     def test_grid_solve_sweeps_once(self, monkeypatch):
         """The plain 66x66 grid solve with k=2, d=1 asks for a pair 256
-        apart; one sweep drops every bound below 256, so its far-pair test
-        runs the search from the least terminal and one sweep."""
+        apart; one sweep drops every bound below 256.  Round 0 has no
+        guard, so its far-pair test reads the map from the least terminal
+        off the candidate search, and its only search is that one sweep."""
         side = 66
         g, a = make_instance("grid", side * side, 1, "random_p")
         a |= {0, side - 1, side * (side - 1), side * side - 1}
@@ -449,6 +473,11 @@ class TestLeastFarPair:
                 searches.append(tuple(src))
             return _fn(adj, src, cutoff)
 
+        def counted_tree(g, v, blocked, _fn=graph_module._search_tree):
+            if inside:
+                searches.append((v,))
+            return _fn(g, v, blocked)
+
         def far_pair_test(*args, _fn=frame_module._least_far_pair):
             inside.append(1)
             try:
@@ -457,9 +486,10 @@ class TestLeastFarPair:
                 inside.pop()
 
         monkeypatch.setattr(graph_module, "_levels", counted)
+        monkeypatch.setattr(graph_module, "_search_tree", counted_tree)
         monkeypatch.setattr(frame_module, "_least_far_pair", far_pair_test)
         assert isinstance(solve(g, a, SolveParams(k=2, d=1)), HittingCertificate)
-        assert len(searches) == 2
+        assert searches == [(side * side - 1,)]
 
     def test_duplicates_and_tiny_sets(self):
         g = path_graph(5)
@@ -496,12 +526,47 @@ def test_least_far_pair_matches_oracle(kind, n, seed, density):
     a = [v for v in range(g.n) if rng.random() < density]
     diameter = max(max(bfs_dists(g, v).values()) for v in range(g.n))
     ids = sorted(set(a))
+    tree = graph_module._search_tree(g, ids[0], frozenset()) if ids else None
     for threshold in range(diameter + 3):
         want = far_pair(g, a, threshold)
         assert least_far_pair(g, a, threshold) == want
-        # the round's body, whose first search stops at threshold - 1
+        # the round's body, whose first search stops at threshold - 1, and
+        # an unguarded round's, which reads its maps off the candidate tree
         if ids:
             assert graph_module._least_far_pair(g, ids, threshold) == want
+            assert graph_module._least_far_pair(g, ids, threshold, tree) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["path", "cycle", "grid", "random"]),
+       st.integers(1, 64), st.integers(0, 10_000))
+def test_tree_levels_match_levels(kind, n, seed):
+    """A search tree of the whole component gives, at every cutoff, the
+    map _levels searches: the same keys, values and key order, so the
+    sweeps' picks from its last level are the same."""
+    g = connected_graph(kind, n, seed)
+    v = random.Random(seed).randrange(g.n)
+    tree = graph_module._search_tree(g, v, frozenset())
+    diameter = max(max(bfs_dists(g, u).values()) for u in range(g.n))
+    for cutoff in [None, -1, *range(diameter + 2)]:
+        want = graph_module._levels(g.adj, (v,), cutoff)
+        got = graph_module._tree_levels(tree, cutoff)
+        assert got == want
+        assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["path", "cycle", "grid", "random"]),
+       st.integers(1, 64), st.integers(0, 10_000), st.integers(0, 3))
+def test_farthest_is_the_least_id_at_the_greatest_depth(kind, n, seed, sources):
+    """_farthest reads the last level of a level-ordered map, from one
+    source or several, at every cutoff; grids and even cycles tie there."""
+    g = connected_graph(kind, n, seed)
+    src = random.Random(seed).sample(range(g.n), min(sources + 1, g.n))
+    diameter = max(max(bfs_dists(g, u).values()) for u in range(g.n))
+    for cutoff in [None, *range(diameter + 1)]:
+        m = graph_module._levels(g.adj, src, cutoff)
+        assert graph_module._farthest(m) == max(m, key=lambda v: (m[v], -v))
 
 
 @settings(max_examples=60, deadline=None)
