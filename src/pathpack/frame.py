@@ -235,7 +235,7 @@ def _round(g: Graph, fr: Frame,
             break
         tree = _search_tree(g, a, guard)
         left -= len(tree)
-        averts = sorted(tree.keys() & fr.a_set)
+        averts = sorted(fr.a_set.intersection(tree))
         placed.update(averts)
         if len(averts) < 2:
             continue

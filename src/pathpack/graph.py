@@ -174,8 +174,17 @@ def ball(g: Graph, x: Iterable[int], r: int | float) -> frozenset[int]:
         return frozenset()
     # not frozenset(_levels(...)), which fills a distance map and copies
     # it: measured slower on spider_ladder and matrix (see ROADMAP)
-    adj = g.adj
-    frontier = list(seen)
+    _grow(g.adj, seen, list(seen), r)
+    return frozenset(seen)
+
+
+def _grow(adj, seen: set[int], frontier: list[int], r: int | float) -> list[int]:
+    """Add to seen every vertex up to r levels beyond frontier, a search's
+    last level whose earlier levels seen holds, and return the last level
+    grown: those exactly r levels beyond, empty when the search ends
+    sooner.  A vertex in seen is never entered, so a caller blocks a set
+    by putting it in seen.  ball grows x's ball with it, and the junction
+    construction its sphere chains (see tripod._rounds)."""
     depth = 0
     while frontier and depth < r:
         depth += 1
@@ -186,7 +195,7 @@ def ball(g: Graph, x: Iterable[int], r: int | float) -> frozenset[int]:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    return frozenset(seen)
+    return frontier
 
 
 def st_path(g: Graph, s: Iterable[int], t: Iterable[int], *,
@@ -432,21 +441,6 @@ def _take_component(adj, v: int, rest: set[int]) -> list[int]:
                 rest.remove(w)
                 out.append(w)
     return out
-
-
-def _next_layer(adj, reached: set[int], sphere: list[int],
-                blocked: set[int]) -> list[int]:
-    """One BFS layer in the graph of adj minus blocked: the neighbours of
-    sphere that are neither blocked nor in reached, which they join.  The
-    junction construction grows its sphere chains with it (see
-    tripod._rounds)."""
-    nxt = []
-    for u in sphere:
-        for v in adj[u]:
-            if v not in reached and v not in blocked:
-                reached.add(v)
-                nxt.append(v)
-    return nxt
 
 
 def _connected(g: Graph, sub: Iterable[int]) -> bool:

@@ -18,10 +18,10 @@ tails.  A slide builds no ball; its leg's ball is brought up to date once,
 when another leg moves.  Whether the moved leg slides is read off a
 sphere that the leg keeps around the anchor where it last searched (see
 _rounds): a slide round costs a membership test of that sphere against
-the region and one BFS layer grown from it, not time in the size of the
-tails or of the region, except when removing a region endpoint that is
-not an induced leaf, which searches the region left behind once
-(graph._take_component).  A depth-ell st_path from the anchor runs only
+the region and one BFS layer grown from it by graph._grow, ball's own
+level loop, not time in the size of the tails or of the region, except
+when removing a region endpoint that is not an induced leaf, which
+searches the region left behind once (graph._take_component).  A depth-ell st_path from the anchor runs only
 when the sphere meets the region, or the leg has no sphere yet.
 """
 
@@ -32,9 +32,8 @@ from typing import Iterable, NamedTuple, Union
 
 from .errors import (InputError, InternalInvariantError, PreconditionError,
                      require)
-from .graph import (Graph, UNREACHABLE, _connected, _next_layer,
-                    _take_component, ball, dist, has_radius_at_most, is_path,
-                    st_path)
+from .graph import (Graph, UNREACHABLE, _connected, _grow, _take_component,
+                    ball, dist, has_radius_at_most, is_path, st_path)
 
 
 class Leg(NamedTuple):
@@ -226,12 +225,15 @@ def _rounds(g: Graph, t: Tripoid,
     Whether leg alpha slides, that is whether its anchor a is more than
     ell from the shrunk region, is read off a sphere chain where the leg
     has one.  A depth-ell st_path from a that finds nothing starts the
-    chain at o = a: reached[alpha] holds the vertices within ell + s of o
-    in g minus the leg's tail, found layer by layer, and sphere[alpha]
-    the last layer, at exactly ell + s, where s counts the leg's slides
-    since o.  The chain starts with ell layers, before the slide's step
-    joins the tail, and each slide grows one more.  Call inside the
-    reached vertices not in the sphere.  Then:
+    chain at o = a: reached[alpha] holds the leg's tail, which ends at o,
+    and the vertices within ell + s of o in g minus the tail, grown layer
+    by layer by graph._grow, and sphere[alpha] the last layer, at exactly
+    ell + s, where s counts the leg's slides since o.  reached starts as
+    a copy of the tail, and each vertex that joins the tail joins reached
+    too, so no layer enters the tail.  The chain starts with ell layers,
+    before the slide's step joins the tail, and each slide grows one
+    more.  Call inside the reached vertices in neither the tail nor the
+    sphere.  Then:
 
     - No region vertex lies inside.  At the start the search found none
       within ell of o, a layer joins inside only when the region misses
@@ -248,15 +250,16 @@ def _rounds(g: Graph, t: Tripoid,
       when a layer was grown.
 
     So d(a, x) <= ell would give a walk of length at most s + ell from o
-    to x in the chain's graph, putting x in reached and, by the first
-    point, in the sphere.  Hence when the region misses the sphere, a is
-    more than ell from it and the round slides with no search.  Otherwise
-    it runs the depth-ell st_path from a; a slide restarts the chain at a,
-    and a rebuild keeps it.  The chain answers "slide" only where that
-    search would find nothing, so rounds and results are those of
-    searching every round.  A slide costs a membership test of the sphere
-    and one layer, O(1) vertices on a spider leg; a slide that a search
-    decides also pays the search and the chain's ell starting layers.
+    to x in the chain's graph, putting x in reached and, since no region
+    vertex is in the tail, by the first point in the sphere.  Hence when
+    the region misses the sphere, a is more than ell from it and the round
+    slides with no search.  Otherwise it runs the depth-ell st_path from
+    a; a slide restarts the chain at a, and a rebuild keeps it.  The
+    chain answers "slide" only where that search would find nothing, so
+    rounds and results are those of searching every round.  A slide
+    costs a membership test of the sphere and one layer, O(1) vertices on
+    a spider leg; a slide that a search decides also pays the search, a
+    copy of the tail and the chain's ell starting layers.
     """
     ell = t.ell
     adj = g.adj
@@ -338,21 +341,19 @@ def _rounds(g: Graph, t: Tripoid,
             b_new = st_path(g, bs[alpha][:1], c, cutoff=ell)
             slid = b_new is None
             if slid:
-                # restart the chain at the anchor the search just decided
-                o = bs[alpha][0]
-                reached[alpha], sphere[alpha] = {o}, [o]
-                for _ in range(ell):
-                    sphere[alpha] = _next_layer(adj, reached[alpha], sphere[alpha],
-                                                tail_sets[alpha])
+                # restart the chain at the anchor the search just decided;
+                # holding the tail, which ends there, keeps layers out of it
+                reached[alpha] = set(tail_sets[alpha])
+                sphere[alpha] = _grow(adj, reached[alpha], [bs[alpha][0]], ell)
         if slid:
             # the anchor is now farther than ell: slide it one step along
             # b, and the leg's sphere one layer out
             require(bool(cand), "new region has no neighbor of the removed endpoint")
-            sphere[alpha] = _next_layer(adj, reached[alpha], sphere[alpha],
-                                        tail_sets[alpha])
+            sphere[alpha] = _grow(adj, reached[alpha], sphere[alpha], 1)
             w2 = bs[alpha][1]
             tails[alpha].append(w2)
             tail_sets[alpha].add(w2)
+            reached[alpha].add(w2)
             m = min(cand)
             bs[alpha] = bs[alpha][1:] + (m,)
         else:

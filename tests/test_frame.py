@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from helpers import k2_path_model, path_graph
@@ -299,6 +301,34 @@ class TestExtendOrHit:
         fr = empty_frame(a, params.frame_ell(0), params.frame_r, True)
         out = extend_or_hit(g, fr)
         assert out == frozenset()
+
+
+class CountingTerminals(frozenset):
+    """A terminal set that counts the times Python code iterates it."""
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_round_scans_each_candidate_in_the_size_of_its_tree():
+    """A round lists a candidate's terminals in the size of its search
+    tree, without iterating the whole terminal set.  The host is 200
+    two-vertex components, each vertex a terminal, so round 0 at k = 2
+    searches 72 of them before the unsearched vertices number ell = 256;
+    a scan of every terminal per candidate would iterate the set 72
+    times.  The frame is built by replace, since empty_frame copies its
+    terminals into a plain frozenset."""
+    g = Graph(400, [(2 * i, 2 * i + 1) for i in range(200)])
+    params = SolveParams(2, 1)
+    a = CountingTerminals(range(400))
+    fr = dataclasses.replace(
+        empty_frame(frozenset(), params.frame_ell(0), params.frame_r, False),
+        a_set=a)
+    out = frame._round(g, fr, {})
+    assert isinstance(out, Frame)
+    assert a.iterations <= 1
 
 
 class TestFrameToPacking:

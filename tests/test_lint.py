@@ -1,9 +1,10 @@
 """Source checks: every module keeps every invariant under python -O,
 host-graph searches, down to one BFS layer over adj[...], live in
-graph.py, Graph.__init__ alone builds a graph, the solver calls no public
-step that checks its input, only the exact reports call _fatness without
-a bound, the verifiers import a pinned set of names from graph.py, and
-only graph.py compares a value with the vertex count g.n.
+graph.py's pinned kernels, Graph.__init__ alone builds a graph, the
+solver calls no public step that checks its input, only the exact
+reports call _fatness without a bound, the verifiers import a pinned set
+of names from graph.py, only graph.py compares a value with the vertex
+count g.n, and no set operator takes a dict view on its left.
 
 A bare assert and an `if __debug__:` block both vanish when Python runs
 with -O, so an invariant kept that way silently stops being checked.  An
@@ -96,7 +97,8 @@ def host_adjacency_readers(source: str) -> list[str]:
 
 
 # tripod._rounds picks a region endpoint's neighbours, and hands g.adj to
-# graph.py's kernels for its searches and its sphere layers
+# graph.py's kernels: _take_component for its shrink and _grow for its
+# sphere chains
 HOST_ADJACENCY_READERS = {"tripod": ["_rounds"]}
 
 
@@ -144,6 +146,17 @@ def test_adjacency_loops_live_in_graph(module):
     assert adjacency_loops((SRC / f"{module}.py").read_text()) == []
 
 
+# graph.py's search kernels, in source order, and Graph.__init__'s check
+# of bool endpoints.  A new loop over adj[...] there is one more place
+# for item-by-item costs and counts to live: add it here and say why.
+GRAPH_KERNELS = ["__init__", "dist", "_grow", "st_path", "_levels",
+                 "_take_component", "_search_tree"]
+
+
+def test_graph_keeps_the_pinned_search_kernels():
+    assert adjacency_loops((SRC / "graph.py").read_text()) == GRAPH_KERNELS
+
+
 def test_adjacency_loop_detector_sees_each_for_statement():
     source = ("def f(adj, front):\n    for u in front:\n"
               "        for v in adj[u]:\n            pass\n"
@@ -153,6 +166,35 @@ def test_adjacency_loop_detector_sees_each_for_statement():
               "class C:\n    def m(self):\n"
               "        for v in self.adj[1]:\n            pass\n")
     assert adjacency_loops(source) == ["f", "h", "m"]
+
+
+def view_set_operators(source: str) -> list[str]:
+    """Line-tagged set operators (&, |, -, ^) whose left operand is a
+    .keys() or .items() call.  CPython runs such an operator by iterating
+    the whole right operand unless that is an exact set, so a view & a
+    large frozenset costs the frozenset's size however small the view."""
+    ops = (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)
+    lines = {node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ops)
+             and isinstance(node.left, ast.Call)
+             and isinstance(node.left.func, ast.Attribute)
+             and node.left.func.attr in ("keys", "items")}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_set_operator_iterates_its_right_operand(module):
+    assert view_set_operators((SRC / f"{module}.py").read_text()) == []
+
+
+def test_view_operator_detector_sees_each_operator_on_a_view():
+    source = ("def f(tree, a, b):\n"
+              "    x = sorted(tree.keys() & a)\n"
+              "    y = tree.items() | b\n"
+              "    z = a.intersection(tree), set(tree) & a, a & tree.keys()\n"
+              "    w = tree.keys() - a, [tree.keys() ^ b]\n"
+              "    return tree.values() & a, len(tree.keys()) - 1\n")
+    assert view_set_operators(source) == ["line 2", "line 3", "line 5"]
 
 
 def graph_imports(source: str) -> set[str]:

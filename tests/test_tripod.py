@@ -283,9 +283,9 @@ def test_slide_rounds_build_no_ball(monkeypatch, case):
 
 def record_anchor_searches(monkeypatch):
     """Record every anchor search of tripod's rounds, the only st_path
-    calls there with a cutoff, as (anchor, found), and every sphere layer
-    they grow, as (reached set, tail set), in one list per _rounds call
-    with its ell."""
+    calls there with a cutoff, as ("search", anchor, found), and every
+    sphere chain growth, as ("grow", reached set, levels), in one list per
+    _rounds call with its ell."""
     module = importlib.import_module("pathpack.tripod")
     runs = []
 
@@ -295,16 +295,16 @@ def record_anchor_searches(monkeypatch):
             runs[-1][1].append(("search", *s, path is not None))
         return path
 
-    def next_layer(adj, reached, sphere, tail, _fn=module._next_layer):
-        runs[-1][1].append(("layer", reached, tail))
-        return _fn(adj, reached, sphere, tail)
+    def grow(adj, seen, frontier, r, _fn=module._grow):
+        runs[-1][1].append(("grow", seen, r))
+        return _fn(adj, seen, frontier, r)
 
     def rounds(g, t, limit, _fn=module._rounds):
         runs.append((t.ell, []))
         return _fn(g, t, limit)
 
     monkeypatch.setattr(module, "st_path", st_path)
-    monkeypatch.setattr(module, "_next_layer", next_layer)
+    monkeypatch.setattr(module, "_grow", grow)
     monkeypatch.setattr(module, "_rounds", rounds)
     return runs
 
@@ -315,7 +315,7 @@ def test_slides_search_only_where_the_sphere_meets_the_region(monkeypatch, case)
     prong run's 198 rounds and the spider run's 1,187 all shrink by
     sliding one leg but the last, which finishes; each run makes one
     anchor search, in round 1, whose slide starts the leg's sphere chain
-    with ell layers.  Each slide then grows one layer."""
+    with one ell-level grow.  Each slide then grows the chain one level."""
     runs = record_anchor_searches(monkeypatch)
     if case == "prong":
         tripod(*prong_instance())
@@ -327,7 +327,41 @@ def test_slides_search_only_where_the_sphere_meets_the_region(monkeypatch, case)
     assert len(runs) == 1
     ell, events = runs[0]
     assert events[0][0] == "search" and not events[0][-1]
-    assert [kind for kind, *_ in events[1:]] == ["layer"] * (ell + rounds - 1)
+    chain = events[1][1]
+    assert events[1:] == ([("grow", chain, ell)]
+                          + [("grow", chain, 1)] * (rounds - 1))
+
+
+def chain_outcomes(runs, results) -> Counter:
+    """The ways the recorded rounds of tripod runs, with their results,
+    decided a leg with a live sphere chain.  A chain is its reached set:
+    its first grow, ell levels, starts it for a slide that a search
+    decided, which then grows it one level, and each later grow is a
+    slide with no search.  A search's leg is the connector that holds its
+    anchor, since the anchor is in the leg's tail and the connectors are
+    disjoint; a reached set may also hold another leg's anchor, so it does
+    not name the leg.  Every search that finds nothing starts its leg's
+    chain, and a later search of that leg is from a live chain."""
+    outcomes = Counter()
+    for (_, events), res in zip(runs, results, strict=True):
+        chains = []
+        chained = set()
+        for kind, *rest in events:
+            if kind == "grow":
+                if any(rest[0] is x for x in chains):
+                    outcomes["chain slide"] += 1
+                else:
+                    chains.append(rest[0])
+                continue
+            anchor, found = rest
+            (leg,) = [i for i, p in enumerate(res.p) if anchor in p]
+            if leg in chained:
+                outcomes["rebuild" if found else "searched slide"] += 1
+            if not found:
+                chained.add(leg)
+        # the one-level grow that follows each start is its searched slide
+        outcomes["chain slide"] -= len(chains)
+    return outcomes
 
 
 def test_chain_outcomes_on_the_differential_instances(monkeypatch):
@@ -336,27 +370,23 @@ def test_chain_outcomes_on_the_differential_instances(monkeypatch):
     slide with no search (its sphere misses the region), a slide that a
     search decides (the sphere meets the region, the anchor is still
     farther than ell; the chain restarts), and a rebuild (the chain is
-    kept).  A chain starts with ell layers and grows one a slide, so the
-    layers of a reached set past its first ell + 1 are chain-decided
-    slides; a search is from a leg with a live chain when its anchor lies
-    in a tail that a layer has already avoided."""
+    kept)."""
+    runs = record_anchor_searches(monkeypatch)
+    results = [tripod(*instance) for instance in differential_instances()]
+    outcomes = chain_outcomes(runs, results)
+    assert min(outcomes[k] for k in ("chain slide", "searched slide", "rebuild")) > 0
+
+
+def test_chains_spare_all_but_295_searches_on_the_differential_instances(monkeypatch):
+    """The sphere chains leave 295 anchor searches to the differential
+    instances.  A chain grown into its leg's tail still answers soundly,
+    since d(o, x) <= s + d(a, x) holds in g as well, but it meets the
+    region sooner and searches 296 times; holding the tail in reached
+    keeps it out."""
     runs = record_anchor_searches(monkeypatch)
     for instance in differential_instances():
         tripod(*instance)
-    outcomes = Counter()
-    for ell, events in runs:
-        layers = {}
-        tails = []
-        for kind, *rest in events:
-            if kind == "layer":
-                reached, tail = rest
-                layers.setdefault(id(reached), [reached, 0])[1] += 1
-                if not any(tail is x for x in tails):
-                    tails.append(tail)
-            elif any(rest[0] in x for x in tails):
-                outcomes["rebuild" if rest[1] else "searched slide"] += 1
-        outcomes["chain slide"] += sum(max(0, n - ell - 1) for _, n in layers.values())
-    assert min(outcomes[k] for k in ("chain slide", "searched slide", "rebuild")) > 0
+    assert sum(kind == "search" for _, events in runs for kind, *_ in events) == 295
 
 
 def test_spider_frozen_outcome():
