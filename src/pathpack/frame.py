@@ -126,21 +126,20 @@ def validate_frame(g: Graph, fr: Frame) -> list[str]:
     if fat < fr.ell:
         out.append(f"model fatness {fat} below the frame scale {fr.ell}")
     for x in fr.pattern.vertex_ids():
-        vs = part_vertices(fr.model.branch_sets[x])
+        raw = fr.model.branch_sets[x]
+        vs = part_vertices(raw)
         # validate_model has found vs connected, and a connected set of s
         # vertices has radius at most s - 1
         if fr.r < len(vs) - 1 and not has_radius_at_most(g, vs, fr.r):
             out.append(f"branch set of vertex {x} has radius above {fr.r}")
-    for x in sorted(dc.v1 | dc.v2):
-        vs = part_vertices(fr.model.branch_sets[x])
-        if not (vs & fr.a_set):
+        degree = fr.pattern.degree(x)
+        if degree in (1, 2) and vs.isdisjoint(fr.a_set):
             out.append(f"branch set of vertex {x} carries no terminal")
-    for x in sorted(dc.v0):
-        raw = fr.model.branch_sets[x]
+        if degree:
+            continue
         if not isinstance(raw, tuple):
             out.append(f"isolated vertex {x} must carry an ordered terminal path")
-            continue
-        if len(raw) < 2:
+        elif len(raw) < 2:
             out.append(f"terminal path of isolated vertex {x} is too short")
         elif not (raw[0] in fr.a_set and raw[-1] in fr.a_set):
             out.append(f"path of isolated vertex {x} does not end in terminals")

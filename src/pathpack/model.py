@@ -214,89 +214,73 @@ def _check_keys(m: FatModel) -> None:
             f"pattern edges {sorted(edges)}")
 
 
-def _incident(m: FatModel, a: tuple[str, int], b: tuple[str, int]) -> bool:
-    """Vertex-edge incidence or edge-edge adjacency in the pattern."""
-    if a[0] == b[0] == "e":
-        return not set(m.pattern.endpoints(a[1])).isdisjoint(
-            m.pattern.endpoints(b[1]))
-    return _exempt(m, a, b)
-
-
 def validate_model(g: Graph, m: FatModel) -> list[str]:
     """All structural violations of the model conditions, empty when valid.
 
-    Checks, in order: parts nonempty and in range, parts connected, tuple
-    parts are real paths, incident elements intersect correctly, and
-    non-incident elements are disjoint.
+    The screen pass checks each branch set and part alone: nonempty, ids
+    in range, connected, and a tuple part a real path.  It screens a raw
+    part before building its vertex set, so any id, unhashable ones too,
+    is reported; if one is not a vertex of g, only the screen pass's
+    violations come back.  Otherwise one pass over element pairs, in
+    all_elements order, decides each pair by one rule: a vertex and an
+    incident edge (the pairs _exempt names) must meet, two edges sharing
+    a vertex z may meet only inside M_z, and all other pairs are disjoint.
     """
     _check_keys(m)
     violations: list[str] = []
+    foreign = False
+    for kind, parts in (("vertex", m.branch_sets), ("edge", m.branch_parts)):
+        for i in sorted(parts):
+            raw = parts[i]
+            name = f"{kind} {i}"
+            if not raw:
+                violations.append(f"branch part of {name} is empty")
+                continue
+            is_tuple = isinstance(raw, tuple)
+            # is_path answers False for a foreign id, so a path is screened once
+            if is_tuple and is_path(g, raw):
+                continue  # a path is connected
+            bad = g.foreign(raw)
+            if bad:
+                foreign = True
+                violations.append(f"branch part of {name} has out-of-range ids "
+                                  f"{sorted(bad, key=Graph.id_order)}")
+                continue
+            if not _connected(g, part_vertices(raw)):
+                violations.append(f"branch part of {name} is not connected")
+            if is_tuple:
+                violations.append(f"branch part of {name} is marked as a path but is not one")
+    if foreign:
+        return violations
+
     elements = m.all_elements()
-    by_key = {(kind, i): vs for kind, i, vs in elements}
-
-    for kind, i, vs in elements:
-        name = f"{'vertex' if kind == 'v' else 'edge'} {i}"
-        if not vs:
-            violations.append(f"branch part of {name} is empty")
-            continue
-        raw = (m.branch_sets if kind == "v" else m.branch_parts)[i]
-        is_tuple = isinstance(raw, tuple)
-        # is_path answers False for a foreign id, so a path is screened once
-        if is_tuple and is_path(g, raw):
-            continue  # a path is connected
-        bad = g.foreign(vs)
-        if bad:
-            violations.append(f"branch part of {name} has out-of-range ids "
-                              f"{sorted(bad, key=Graph.id_order)}")
-            continue
-        if not _connected(g, vs):
-            violations.append(f"branch part of {name} is not connected")
-        if is_tuple:
-            violations.append(f"branch part of {name} is marked as a path but is not one")
-
-    # vertex-edge incidence: branch sets must meet incident branch parts
-    for e in m.pattern.edge_ids():
-        u, v = m.pattern.endpoints(e)
-        pe = by_key[("e", e)]
-        for x in (u, v):
-            if not (by_key[("v", x)] & pe):
-                violations.append(
-                    f"branch part of edge {e} misses the branch set of vertex {x}")
-
-    # edge pairs sharing a pattern vertex may only meet inside its branch set
-    eids = m.pattern.edge_ids()
-    for idx, e1 in enumerate(eids):
-        for e2 in eids[idx + 1:]:
-            shared = set(m.pattern.endpoints(e1)) & set(m.pattern.endpoints(e2))
-            if not shared:
+    for idx, (ka, ia, va) in enumerate(elements):
+        for kb, ib, vb in elements[idx + 1:]:
+            if _exempt(m, (ka, ia), (kb, ib)):
+                if va.isdisjoint(vb):
+                    violations.append(
+                        f"branch part of edge {ib} misses the branch set of vertex {ia}")
                 continue
-            (z,) = shared
-            extra = (by_key[("e", e1)] & by_key[("e", e2)]) - by_key[("v", z)]
-            if extra:
+            shared = (set(m.pattern.endpoints(ia)) & set(m.pattern.endpoints(ib))
+                      if ka == kb == "e" else None)
+            if shared:
+                # two edges of a simple pattern share one vertex at most
+                (z,) = shared
+                if (va & vb) - part_vertices(m.branch_sets[z]):
+                    violations.append(
+                        f"branch parts of edges {ia} and {ib} meet outside the "
+                        f"branch set of their shared vertex {z}")
+            elif not va.isdisjoint(vb):
                 violations.append(
-                    f"branch parts of edges {e1} and {e2} meet outside the "
-                    f"branch set of their shared vertex {z}")
-
-    # non-incident pairs must be disjoint
-    keys = [(kind, i) for kind, i, _ in elements]
-    for idx, a in enumerate(keys):
-        for b in keys[idx + 1:]:
-            if _incident(m, a, b):
-                continue
-            if by_key[a] & by_key[b]:
-                violations.append(
-                    f"branch parts of non-incident elements {a} and {b} intersect")
+                    f"branch parts of non-incident elements {(ka, ia)} and "
+                    f"{(kb, ib)} intersect")
     return violations
 
 
 def _exempt(m: FatModel, a: tuple[str, int], b: tuple[str, int]) -> bool:
-    """Pairs excluded from the fatness minimum: incident vertex-edge pairs."""
-    (ka, ia), (kb, ib) = a, b
-    if ka == "v" and kb == "e":
-        return m.pattern.is_incident(ia, ib)
-    if ka == "e" and kb == "v":
-        return m.pattern.is_incident(ib, ia)
-    return False
+    """A vertex and an incident edge, a before b in all_elements order: the
+    pairs validate_model requires to meet and fatness skips."""
+    return a[0] == "v" and b[0] == "e" and m.pattern.is_incident(a[1], b[1])
 
 
 def fatness(g: Graph, m: FatModel) -> int | float:

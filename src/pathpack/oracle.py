@@ -1,11 +1,13 @@
 """Independent certificate checkers and a small brute-force cross-check.
 
-Nothing here shares logic with the solver, and the construction calls
+The checks decide their own conditions, and the construction calls
 nothing here; only solve(validate=True) hands its final certificate to the
-verifiers.  Verification uses only plain breadth-first searches over the
-host graph, so a bug in the construction cannot hide behind the same bug in
-the check.  Which ids are vertices is Graph.foreign's one decision, as for
-every public entry.  far_pair is also the reference that the solver's
+verifiers.  They still share graph.py's kernels ball, components, dist,
+distance_map and is_path with the solver, so a kernel bug could hide in
+both the construction and the check, until the oracle gets its own plain
+breadth-first search (ROADMAP.md, "A verifier with its own kernel").
+Which ids are vertices is Graph.foreign's one decision, as for every
+public entry.  far_pair is also the reference that the solver's
 graph.least_far_pair is tested against.
 """
 

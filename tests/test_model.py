@@ -219,6 +219,33 @@ class TestValidateModel:
         bad = FatModel(m.pattern, dict(m.branch_sets), parts)
         assert any("outside" in v for v in validate_model(g, bad))
 
+    def test_each_pair_rule_reports_its_pair_once(self):
+        """One missed incidence, one edge pair meeting outside its shared
+        vertex's set and one non-incident overlap: each pair is decided by
+        one rule, so each is listed once and nothing else is."""
+        g = path_graph(16)
+        pat = PatternGraph.from_parts([0, 1, 2, 3], {0: (0, 1), 1: (1, 2)})
+        bad = FatModel(pat,
+                       {0: frozenset({0}), 1: frozenset({5}),
+                        2: frozenset({12, 13}), 3: frozenset({13})},
+                       {0: tuple(range(6)), 1: tuple(range(4, 10))})
+        assert sorted(validate_model(g, bad)) == sorted([
+            "branch part of edge 1 misses the branch set of vertex 2",
+            "branch parts of edges 0 and 1 meet outside the branch set of "
+            "their shared vertex 1",
+            "branch parts of non-incident elements ('v', 2) and ('v', 3) "
+            "intersect",
+        ])
+
+    def test_a_foreign_id_stops_the_pair_checks(self):
+        """An id that is not a vertex is reported, and no pair is checked:
+        the overlap of the two branch sets at vertex 1 goes unreported."""
+        g = path_graph(6)
+        pat = PatternGraph.from_parts([0, 1], {})
+        bad = FatModel(pat, {0: frozenset({1, 99}), 1: frozenset({1})}, {})
+        assert validate_model(g, bad) == [
+            "branch part of vertex 0 has out-of-range ids [99]"]
+
 
 class TestFatness:
     def test_k2_on_p3(self):

@@ -28,9 +28,17 @@ FOREIGN = [1.0, True, "1", -1, N]
 UNHASHABLE = [1]
 
 
-def one_set_model(v) -> FatModel:
-    """A single pattern vertex whose branch set is {v}."""
-    return FatModel(PatternGraph.from_parts([0], {}), {0: frozenset({v})})
+def one_set_model(v, form=frozenset) -> FatModel:
+    """A single pattern vertex whose branch set holds only v: the frozenset
+    {v}, or with form=tuple the one-vertex path (v,), which, unlike a
+    frozenset, can hold an unhashable id."""
+    return FatModel(PatternGraph.from_parts([0], {}), {0: form((v,))})
+
+
+def one_set_frame(v, form=frozenset) -> Frame:
+    """A frame whose model is one_set_model(v, form)."""
+    return Frame(model=one_set_model(v, form), i=1, ell=16, r=4,
+                 coarse=False, a_set=frozenset({0}))
 
 
 # branch sets {0} and {4} joined by the branch path 0..4
@@ -87,9 +95,8 @@ ENTRIES = {
                          PreconditionError, False),
     "augment": (lambda v: augment(G, EDGE_MODEL, v, 0, (v, 2), 1),
                 PreconditionError, True),
-    "validate_frame": (lambda v: validate_frame(G, Frame(
-        model=one_set_model(v), i=1, ell=16, r=4, coarse=False,
-        a_set=frozenset({0}))), lambda v: [f"model: {model_msg(v)}"], False),
+    "validate_frame": (lambda v: validate_frame(G, one_set_frame(v)),
+                       lambda v: [f"model: {model_msg(v)}"], False),
     "extend_or_hit": (lambda v: extend_or_hit(
         G, empty_frame(frozenset({0, v}), 16, 4, False)), InputError, False),
     "frame_to_packing": (lambda v: frame_to_packing(
@@ -123,6 +130,34 @@ ENTRIES = {
         lambda v: [hitting_msg(v)], False),
     "brute_force_packing_exists": (lambda v: brute_force_packing_exists(
         G, [0, v], 1, 1), InputError, True),
+    # the entries that check a model first, given v in a tuple branch part
+    "validate_model (path part)": (
+        lambda v: validate_model(G, one_set_model(v, tuple)),
+        lambda v: [model_msg(v)], True),
+    "is_simple (path part)": (lambda v: is_simple(G, one_set_model(v, tuple)),
+                              lambda v: [model_msg(v)], True),
+    "fatness (path part)": (lambda v: fatness(G, one_set_model(v, tuple)),
+                            PreconditionError, True),
+    "is_clean (path part)": (lambda v: is_clean(G, one_set_model(v, tuple), 1),
+                             PreconditionError, True),
+    "fat_to_clean (path part)": (
+        lambda v: fat_to_clean(G, one_set_model(v, tuple), 1, 1),
+        PreconditionError, True),
+    "make_topological (path part)": (
+        lambda v: make_topological(G, one_set_model(v, tuple), 1),
+        PreconditionError, True),
+    "augment (path part)": (lambda v: augment(G, FatModel(
+        EDGE_MODEL.pattern, {0: (v,), 1: frozenset({4})},
+        EDGE_MODEL.branch_parts), 0, 0, (0,), 1), PreconditionError, True),
+    "validate_frame (path part)": (
+        lambda v: validate_frame(G, one_set_frame(v, tuple)),
+        lambda v: [f"model: {model_msg(v)}"], True),
+    "extend_or_hit (path part)": (
+        lambda v: extend_or_hit(G, one_set_frame(v, tuple)),
+        PreconditionError, True),
+    "frame_to_packing (path part)": (
+        lambda v: frame_to_packing(G, one_set_frame(v, tuple)),
+        PreconditionError, True),
 }
 
 KERNEL = "a search kernel: trusts its ids"
