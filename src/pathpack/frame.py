@@ -16,8 +16,8 @@ from typing import Optional, Union
 from .augment import _augment
 from .errors import InputError, ParameterRangeError, PreconditionError, require
 from .forest import _leaf_bound, degree_classes, extract_z_paths
-from .graph import (Graph, UNREACHABLE, _least_far_pair, _search_tree,
-                    _tree_path, ball, dist, distance_map, has_radius_at_most,
+from .graph import (Graph, UNREACHABLE, _least_far_pair, _reach, _search_tree,
+                    _tree_path, dist, distance_map, has_radius_at_most,
                     radius_center, st_path)
 from .model import (FatModel, PatternGraph, _fat_to_clean, _fatness,
                     part_vertices, validate_model)
@@ -84,6 +84,9 @@ class HittingCertificate:
 
 
 Certificate = Union[PackingCertificate, HittingCertificate]
+
+# A graph._search_tree of a whole component of the host.
+Tree = dict[int, Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,9 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, frozenset[int]]:
     The frame must sit at fatness scale 16*ell with r >= 4*ell.  Either a
     new frame at scale ell with counter i+1 comes back, or the frozenset of
     branch-set centers, a hitting set: no terminal path (in coarse mode, no
-    ell-coarse terminal path) avoids their (r + 8*ell)-balls.
+    ell-coarse terminal path) avoids their (r + 8*ell)-balls.  The round
+    starts from empty tables: every branch set's center is measured, and
+    no component is known to it (see _round).
     """
     if fr.ell % 16 != 0:
         raise PreconditionError(f"frame scale {fr.ell} is not divisible by 16")
@@ -164,7 +169,7 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, frozenset[int]]:
     if fr.r < 4 * ell:
         raise PreconditionError(f"radius budget {fr.r} below 4*ell={4 * ell}")
     _require_valid(g, fr)
-    return _round(g, fr, {})
+    return _round(g, fr, {}, {})
 
 
 def _require_valid(g: Graph, fr: Frame) -> None:
@@ -176,8 +181,8 @@ def _require_valid(g: Graph, fr: Frame) -> None:
         raise PreconditionError(f"invalid frame: {bad[0]}")
 
 
-def _round(g: Graph, fr: Frame,
-           centers: dict[int, int]) -> Union[Frame, frozenset[int]]:
+def _round(g: Graph, fr: Frame, centers: dict[int, int],
+           known: dict[int, Tree]) -> Union[Frame, frozenset[int]]:
     """extend_or_hit of a frame on the solver's schedule that has passed
     validate_frame, which also bounds its branch sets' radii by fr.r.  The
     new frame is checked once, by validate_frame.
@@ -198,10 +203,25 @@ def _round(g: Graph, fr: Frame,
     where the round's answer is decided.  Searches whose answer the sizes
     already fix are skipped: a candidate of at most ell vertices has no
     pair ell apart, and neither has any candidate once at most ell
-    unsearched vertices are left.  With no guard a candidate is a whole
-    component, so a close pair's path is already its geodesic in the
-    host, and the far-pair test reads its maps from the least terminal off
-    the candidate's tree, with no search of its own.
+    unsearched vertices are left.
+
+    known maps a vertex v to a search tree of v's whole component of g,
+    for the length of a solve.  A candidate's least terminal keys the
+    candidate's tree, rooted there.  When the round builds a K2 or a close
+    pair in a whole component, the K2's first terminal or the close pair's
+    center keys the tree its path was read off.  A known component holding
+    a center joins the guard with no search when it lies in that center's
+    ball, since no ball leaves its component; only the other centers'
+    balls are grown.  A center whose component does not fit loses its
+    key, since a later round's radius is smaller.  When the grown balls
+    end before the guard radius, the guard is closed: a union of whole
+    components, as the empty guard of round 0 is.  Every candidate of a
+    closed round is then a whole component, so the round reads a known
+    candidate's tree and records each new one, the far-pair test reads
+    its maps from the least terminal off that tree, with no search of its
+    own, and a close pair's path is already its geodesic in the host.  A
+    closed round absorbs no path: every branch path lies in a guarded
+    component.
     """
     ell = fr.ell // 16
     # a valid frame's model is fr.ell = (8*ell + 2*4*ell)-fat, all that
@@ -215,7 +235,21 @@ def _round(g: Graph, fr: Frame,
     hit = frozenset(centers.values())
     require(len(hit) == len(centers), "branch-set centers collide")
 
-    guard = ball(g, hit, fr.r + 8 * ell)
+    radius = fr.r + 8 * ell
+    # no ball leaves its component, so a known one that fits joins whole
+    inside: list[Tree] = []
+    for c in hit:
+        tree = known.get(c)
+        if tree is None:
+            continue
+        if _in_every_ball(tree, radius):
+            inside.append(tree)
+        else:
+            del known[c]
+    guard, closed = _reach(g, [c for c in hit
+                               if not any(c in t for t in inside)], radius)
+    for tree in inside:
+        guard.update(tree)
     # Candidates are the components of the unguarded region holding two or
     # more terminals, taken in ascending order of their least terminal; a
     # component without terminals is never searched.  The first candidate
@@ -232,7 +266,11 @@ def _round(g: Graph, fr: Frame,
             continue
         if first is not None and left <= ell:
             break
-        tree = _search_tree(g, a, guard)
+        tree = known.get(a) if closed else None
+        if tree is None:
+            tree = _search_tree(g, a, guard)
+            if closed:
+                known[a] = tree
         left -= len(tree)
         averts = sorted(fr.a_set.intersection(tree))
         placed.update(averts)
@@ -240,9 +278,9 @@ def _round(g: Graph, fr: Frame,
             continue
         if first is None:
             first = (tree, averts)
-        # with no guard the tree spans a whole component, and the far-pair
-        # test reads its maps from the candidate's least terminal off it
-        pair = (_least_far_pair(g, averts, ell, None if guard else tree)
+        # the tree of a whole component gives the far-pair test its maps
+        # from the candidate's least terminal
+        pair = (_least_far_pair(g, averts, ell, tree if closed else None)
                 if len(tree) > ell else None)
         if pair is not None:
             break
@@ -297,10 +335,12 @@ def _round(g: Graph, fr: Frame,
                 sets2[h] = frozenset({t})
                 centers[h] = t
             parts2[e] = path
+            if closed:
+                known[a1] = tree
         else:
             # close pair: store its connecting geodesic as a finished path;
-            # with no guard, comp is a whole component and path is it
-            link = st_path(g, {a1}, {a2}) if guard else path
+            # in a whole component, path is it
+            link = path if closed else st_path(g, {a1}, {a2})
             require(link is not None and len(link) - 1 < ell,
                     f"close terminal pair has no geodesic shorter than {ell}")
             # a host geodesic has no chord, so g[link] is the path itself,
@@ -310,6 +350,8 @@ def _round(g: Graph, fr: Frame,
             x = pattern2.add_vertex()
             sets2[x] = link
             centers[x] = min(link[(s - 1) // 2], link[s // 2])
+            if closed:
+                known[centers[x]] = tree
         model = FatModel(pattern2, sets2, parts2)
 
     new_frame = Frame(model=model, i=fr.i + 1, ell=ell, r=fr.r,
@@ -317,6 +359,15 @@ def _round(g: Graph, fr: Frame,
     bad = validate_frame(g, new_frame)
     require(not bad, "extension produced an invalid frame: " + "; ".join(bad))
     return new_frame
+
+
+def _in_every_ball(tree: Tree, radius: int) -> bool:
+    """True when the component that tree spans lies in the radius-ball of
+    each of its vertices.  Two of its vertices are at most |tree| - 1 apart,
+    and at most twice the tree's height, the depth of its last vertex; only
+    when the size does not decide is that vertex's path walked."""
+    return (len(tree) - 1 <= radius
+            or 2 * (len(_tree_path(tree, next(reversed(tree)))) - 1) <= radius)
 
 
 def frame_to_packing(g: Graph, fr: Frame) -> list[tuple[int, ...]]:
@@ -380,11 +431,14 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     without edges is cleaned without a check, since cleaning leaves it as
     the last round's check (or the empty start) found it.  A round skips
     the far-pair searches that the sizes of its components decide, reads
-    its path off the one search that finds its candidate, cuts its
-    far-pair test at ell, reads that test's first map off the candidate's
-    search when it has no guard, and keeps one table of branch-set centers
-    per solve, so only augment's sets are measured.  The final frame is
-    unwound without a second validate_frame.
+    its path off the one search that finds its candidate, and cuts its
+    far-pair test at ell.  A solve keeps one table of branch-set centers,
+    so only augment's sets are measured, and one of the search trees of
+    the whole components its rounds have searched: a guard takes a known
+    component whole, with no search, and a round whose guard is a union of
+    whole components reads its candidates' trees off the table, searching
+    only new ones, and gives them to the far-pair test.  The final frame
+    is unwound without a second validate_frame.
     validate=True adds two checks: every frame's counter and scale are
     compared with the schedule, and the final certificate is verified
     independently by the oracle module.
@@ -393,11 +447,12 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     k = params.k
     fr = empty_frame(a, params.frame_ell(0), params.frame_r, params.coarse)
     centers: dict[int, int] = {}
+    known: dict[int, Tree] = {}
     for i in range(2 * k - 1):
         if validate:
             require(fr.i == i and fr.ell == params.frame_ell(i),
                     f"frame schedule mismatch at step {i}")
-        out = _round(g, fr, centers)
+        out = _round(g, fr, centers, known)
         if isinstance(out, frozenset):
             require(len(out) <= 2 * fr.i and len(out) <= params.bound_f,
                     f"hitting set size {len(out)} exceeds its bound")

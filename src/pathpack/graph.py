@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from itertools import count
 from math import inf
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .errors import InputError, ParameterRangeError, PreconditionError
 
@@ -169,13 +169,20 @@ def ball(g: Graph, x: Iterable[int], r: int | float) -> frozenset[int]:
 
     A negative radius gives the empty set; radius 0 gives x itself.
     """
-    seen = set(x)
-    if r < 0 or not seen:
-        return frozenset()
     # not frozenset(_levels(...)), which fills a distance map and copies
     # it: measured slower on spider_ladder and matrix (see ROADMAP)
-    _grow(g.adj, seen, list(seen), r)
-    return frozenset(seen)
+    return frozenset(_reach(g, x, r)[0])
+
+
+def _reach(g: Graph, x: Iterable[int], r: int | float) -> tuple[set[int], bool]:
+    """ball(g, x, r) as a set, and whether its search ended before r
+    levels.  When it did, no vertex of the set has a neighbour outside it,
+    so the set is a union of whole components of g; an empty ball counts
+    as ended, and a search with r >= n always ends."""
+    seen = set(x)
+    if r < 0 or not seen:
+        return set(), True
+    return seen, not _grow(g.adj, seen, list(seen), r)
 
 
 def _grow(adj, seen: set[int], frontier: list[int], r: int | float) -> list[int]:
@@ -183,7 +190,7 @@ def _grow(adj, seen: set[int], frontier: list[int], r: int | float) -> list[int]
     last level whose earlier levels seen holds, and return the last level
     grown: those exactly r levels beyond, empty when the search ends
     sooner.  A vertex in seen is never entered, so a caller blocks a set
-    by putting it in seen.  ball grows x's ball with it, and the junction
+    by putting it in seen.  _reach grows x's ball with it, and the junction
     construction its sphere chains (see tripod._rounds)."""
     depth = 0
     while frontier and depth < r:
@@ -454,7 +461,7 @@ def _connected(g: Graph, sub: Iterable[int]) -> bool:
 
 
 def _search_tree(g: Graph, v: int,
-                 blocked: frozenset[int]) -> dict[int, Optional[int]]:
+                 blocked: AbstractSet[int]) -> dict[int, Optional[int]]:
     """Parent of each vertex of v's component in g minus blocked, in the
     order a FIFO search from v discovers them, neighbours in ascending id;
     v is not blocked and is its own root, with parent None.  These are the

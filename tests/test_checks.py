@@ -156,9 +156,9 @@ def test_unwinding_searches_the_pattern_components_once(monkeypatch):
 def test_round_skips_the_searches_its_sizes_decide(monkeypatch):
     """A candidate of at most ell vertices gets no far-pair search, the
     candidate loop stops once at most ell unsearched vertices are left, a
-    close pair's path is read off the candidate search, an unguarded close
-    pair keeps that path as its geodesic, and an edgeless model is cleaned
-    without a check."""
+    close pair's path is read off the candidate search, a close pair in a
+    whole component keeps that path as its geodesic, and an edgeless model
+    is cleaned without a check."""
     counts = count_calls(monkeypatch, graph._least_far_pair,
                          graph._search_tree, graph.st_path,
                          model.validate_model)
@@ -195,10 +195,10 @@ def test_a_solve_measures_each_set_once(monkeypatch, family, n, a_policy, k):
     tables, read = [], []
     entered: Counter = Counter()
 
-    def _round(g, fr, centers, _fn=frame._round):
+    def _round(g, fr, centers, known, _fn=frame._round):
         tables.append(centers)
         before, calls = dict(centers), len(measured)
-        out = _fn(g, fr, centers)
+        out = _fn(g, fr, centers, known)
         read.append(fr)
         new = centers.keys() - before.keys()
         assert before.items() <= centers.items()

@@ -274,6 +274,17 @@ class TestExtendOrHit:
         assert out.model.branch_sets[2] == (*range(451, 445, -1),
                                             *range(452, 457))
 
+    def test_a_partial_guard_reads_no_known_component(self):
+        # the table holds the tree of the whole host, rooted at 451, but
+        # the guard is no union of components, so 451's candidate is
+        # searched in g minus the guard
+        g, fr = self.guarded_pair_frame(20)
+        known = {451: graph._search_tree(g, 451, frozenset())}
+        out = frame._round(g, fr, {}, known).model
+        want = extend_or_hit(g, fr).model
+        assert (out.branch_sets, out.branch_parts) == (want.branch_sets,
+                                                       want.branch_parts)
+
     def test_terminal_outside_the_graph_is_an_input_error(self):
         fr = empty_frame(frozenset({0, 99}), 16, 4, False)
         with pytest.raises(InputError, match="vertex 99 out of range"):
@@ -326,9 +337,102 @@ def test_round_scans_each_candidate_in_the_size_of_its_tree():
     fr = dataclasses.replace(
         empty_frame(frozenset(), params.frame_ell(0), params.frame_r, False),
         a_set=a)
-    out = frame._round(g, fr, {})
+    out = frame._round(g, fr, {}, {})
     assert isinstance(out, Frame)
     assert a.iterations <= 1
+
+
+def counted_rounds(monkeypatch, name, module=frame):
+    """Wrap module.name, and frame._round, so that each call of the
+    function is logged with its arguments and the number of the round it
+    ran in; calls outside a round log None."""
+    log, at = [], [None]
+    fn, round_fn = getattr(module, name), frame._round
+
+    def counted(*args, **kwargs):
+        log.append((at[0], args))
+        return fn(*args, **kwargs)
+
+    def _round(g, fr, *tables):
+        at[0] = fr.i
+        try:
+            return round_fn(g, fr, *tables)
+        finally:
+            at[0] = None
+
+    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(frame, "_round", _round)
+    return log
+
+
+def test_a_grid_solve_grows_no_guard_that_a_known_component_gives(monkeypatch):
+    """A plain k = 2 solve on the benchmark's window grid: round 0 stores a
+    close pair in the grid, whose search tree the solve keeps.  The tree
+    is 130 levels deep, so the grid lies in every 1152-ball of round 1,
+    which takes it as its guard with no ball search, finds no candidate,
+    and returns the close pair's center."""
+    g, a = make_instance("grid", 66 * 66, 1, "random_p")
+    a |= {0, 65, 66 * 65, 66 * 66 - 1}
+    grown = counted_rounds(monkeypatch, "_grow", graph)
+    searched = counted_rounds(monkeypatch, "_search_tree")
+    cert = solve(g, a, SolveParams(2, 1))
+    assert isinstance(cert, HittingCertificate) and len(cert.x) == 1
+    assert [(i, args[1]) for i, args in searched] == [(0, 0)]
+    assert grown == []
+
+
+def known_components_frame():
+    """Four paths: A = 0..4 and D = 305..319 with close end terminals, the
+    far pair 5, 304 at the ends of B = 5..304, and E = 320..329 with the
+    lone terminal 320.  At k = 2, d = 1, round 0 (ell = 256) searches A
+    and B and opens a K2 in B.  Round 1 (ell = 16) guards B, reads A,
+    searches D, and stores A's close pair: 10 vertices are left, too few
+    for a far pair.  Round 2 (ell = 1) guards B and A and reads D, whose
+    far pair opens a second K2."""
+    g = Graph(330, chain_edges(5) + chain_edges(300, 5) + chain_edges(15, 305)
+              + chain_edges(10, 320))
+    return g, frozenset({0, 4, 5, 304, 305, 319, 320})
+
+
+def test_guarded_rounds_read_the_components_a_solve_has_searched(monkeypatch):
+    """Every guard of the solve is a union of whole components, so each
+    candidate is searched once a solve and each guard with no search."""
+    g, a = known_components_frame()
+    searched = counted_rounds(monkeypatch, "_search_tree")
+    guards = counted_rounds(monkeypatch, "_reach")
+    cert = solve(g, a, SolveParams(2, 1))
+    assert cert == PackingCertificate((tuple(range(5)), tuple(range(5, 305))))
+    assert [(i, args[1]) for i, args in searched] == [(0, 0), (0, 5), (1, 305)]
+    assert [(i, args[1]) for i, args in guards] == [(0, []), (1, []), (2, [])]
+
+
+def test_guarded_far_pair_tests_read_their_maps_off_the_tree(monkeypatch):
+    """Round 2's far-pair test on D gets D's tree, as round 0's on B does,
+    so no far-pair test searches for its first map."""
+    g, a = known_components_frame()
+    levels = counted_rounds(monkeypatch, "_levels", graph)
+    tests = []
+    fn = frame._least_far_pair
+
+    def _least_far_pair(g, averts, threshold, tree=None):
+        before = len(levels)
+        out = fn(g, averts, threshold, tree)
+        tests.append((averts, tree is not None, len(levels) - before))
+        return out
+
+    monkeypatch.setattr(frame, "_least_far_pair", _least_far_pair)
+    solve(g, a, SolveParams(2, 1))
+    assert tests == [([5, 304], True, 0), ([305, 319], True, 0)]
+
+
+def test_guarded_close_pair_reads_its_geodesic_off_the_tree(monkeypatch):
+    """Round 1 stores A's close pair as the path of A's tree: A is a whole
+    component, so no st_path runs in any round."""
+    g, a = known_components_frame()
+    paths = counted_rounds(monkeypatch, "st_path")
+    cert = solve(g, a, SolveParams(2, 1))
+    assert isinstance(cert, PackingCertificate)
+    assert [i for i, _ in paths if i is not None] == []
 
 
 class TestFrameToPacking:
@@ -523,10 +627,10 @@ def test_solve_matches_the_public_steps(monkeypatch, family):
     the set it names, and no round changes an entry it was given."""
     tables = []
 
-    def _round(g, fr, centers, _fn=frame._round):
+    def _round(g, fr, centers, known, _fn=frame._round):
         tables.append(centers)
         before = dict(centers)
-        out = _fn(g, fr, centers)
+        out = _fn(g, fr, centers, known)
         assert before.items() <= centers.items()
         assert centers.keys() >= set(fr.pattern.vertex_ids())
         last = out if isinstance(out, Frame) else fr
@@ -545,3 +649,41 @@ def test_solve_matches_the_public_steps(monkeypatch, family):
         entries += len(tables[0])
         assert public_certificate(g, a, params) == cert
     assert entries > 0
+
+
+def table_cases(family):
+    """Every terminal policy at n = 40 and 160, with k <= 3, d <= 2 and
+    both modes, from generator seed 1.  There every guard radius, at least
+    1024, exceeds n, so every guard is closed; n = 3000 at k = 2 adds hosts
+    whose components can be too deep for a round's balls."""
+    for n, ks in ((40, (1, 2, 3)), (160, (1, 2, 3)), (3000, (2,))):
+        for policy in A_POLICIES:
+            g, a = make_instance(family, n, 1, policy)
+            for k in ks:
+                for d in (1, 2):
+                    for coarse in (False, True):
+                        yield g, a, SolveParams(k, d, coarse)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_known_components_change_no_certificate(monkeypatch, family):
+    """solve gives the same certificate when every round starts from an
+    empty table of known components, and so searches every guard and
+    candidate again; some round of the family's cases is handed a table
+    that is not empty."""
+    fn = frame._round
+    handed = []
+
+    def watched(g, fr, centers, known):
+        handed.append(len(known))
+        return fn(g, fr, centers, known)
+
+    def forgetful(g, fr, centers, known):
+        return fn(g, fr, centers, {})
+
+    cases = list(table_cases(family))
+    monkeypatch.setattr(frame, "_round", watched)
+    kept = [solve(g, a, params) for g, a, params in cases]
+    monkeypatch.setattr(frame, "_round", forgetful)
+    assert [solve(g, a, params) for g, a, params in cases] == kept
+    assert max(handed) > 0

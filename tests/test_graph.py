@@ -531,7 +531,7 @@ def test_least_far_pair_matches_oracle(kind, n, seed, density):
         want = far_pair(g, a, threshold)
         assert least_far_pair(g, a, threshold) == want
         # the round's body, whose first search stops at threshold - 1, and
-        # an unguarded round's, which reads its maps off the candidate tree
+        # a round's on a whole component, which reads its maps off its tree
         if ids:
             assert graph_module._least_far_pair(g, ids, threshold) == want
             assert graph_module._least_far_pair(g, ids, threshold, tree) == want
@@ -614,6 +614,29 @@ def test_ball_matches_bfs(seed, c, r):
     c = c % g.n
     ref = bfs_dists(g, c)
     assert ball(g, {c}, r) == {v for v, dv in ref.items() if dv <= r}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 10_000), st.integers(0, 4),
+       st.integers(-1, 64))
+def test_reach_is_the_ball_and_says_when_it_is_closed(n, seed, seeds, r):
+    """_reach gives the ball as a set, and says closed exactly when its
+    search ended before r levels: then no vertex of the ball has a
+    neighbour outside it.  Random hosts have several components, and a
+    radius of n or more always closes."""
+    g, _ = make_instance("random", n, seed)
+    x = random.Random(seed).sample(range(g.n), min(seeds, g.n))
+    got, closed = graph_module._reach(g, x, r)
+    depth: dict[int, int] = {}
+    for s in x:
+        for v, dv in bfs_dists(g, s).items():
+            depth[v] = min(dv, depth.get(v, dv))
+    assert got == {v for v, dv in depth.items() if dv <= r} == ball(g, x, r)
+    assert closed == (r < 0 or max(depth.values(), default=-1) < r)
+    if closed:
+        assert all(w in got for v in got for w in g.adj[v])
+    if r >= g.n:
+        assert closed
 
 
 def grown_set(g: Graph, rng: random.Random, size: int) -> set[int]:
