@@ -159,7 +159,9 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, frozenset[int]]:
     branch-set centers, a hitting set: no terminal path (in coarse mode, no
     ell-coarse terminal path) avoids their (r + 8*ell)-balls.  The round
     starts from empty tables: every branch set's center is measured, and
-    no component is known to it (see _round).
+    no component is known to it.  The model is cleaned only once the
+    round has a pair to place, so a round that hits with none cleans
+    nothing (see _round).
     """
     if fr.ell % 16 != 0:
         raise PreconditionError(f"frame scale {fr.ell} is not divisible by 16")
@@ -185,7 +187,12 @@ def _round(g: Graph, fr: Frame, centers: dict[int, int],
            known: dict[int, Tree]) -> Union[Frame, frozenset[int]]:
     """extend_or_hit of a frame on the solver's schedule that has passed
     validate_frame, which also bounds its branch sets' radii by fr.r.  The
-    new frame is checked once, by validate_frame.
+    new frame is checked once, by validate_frame.  A round that ends in a
+    hit cleans nothing: the hit is read off the centers of fr's branch
+    sets, which fat_to_clean keeps as they are, so the model is cleaned
+    only once the round has a pair to place.  A coarse round whose pair
+    is close still cleans: it hits only after its path misses the
+    cleaned branch paths.
 
     centers maps the pattern vertices of fr, and no others, to the centers
     of their branch sets.  The round measures the sets missing from it, and
@@ -224,14 +231,9 @@ def _round(g: Graph, fr: Frame, centers: dict[int, int],
     component.
     """
     ell = fr.ell // 16
-    # a valid frame's model is fr.ell = (8*ell + 2*4*ell)-fat, all that
-    # fat_to_clean asks of its input; its output check is also all that
-    # augment needs of its input
-    clean = _fat_to_clean(g, fr.model, 8 * ell, 4 * ell)
-
-    for x in clean.pattern.vertex_ids():
+    for x in fr.pattern.vertex_ids():
         if x not in centers:
-            centers[x] = radius_center(g, part_vertices(clean.branch_sets[x]))[0]
+            centers[x] = radius_center(g, part_vertices(fr.model.branch_sets[x]))[0]
     hit = frozenset(centers.values())
     require(len(hit) == len(centers), "branch-set centers collide")
 
@@ -302,6 +304,10 @@ def _round(g: Graph, fr: Frame, centers: dict[int, int],
     require(guard.isdisjoint(path), "new terminal path enters the guarded region")
     a1, a2 = path[0], path[-1]
 
+    # a valid frame's model is fr.ell = (8*ell + 2*4*ell)-fat, all that
+    # fat_to_clean asks of its input; its output check is also all that
+    # augment needs of its input
+    clean = _fat_to_clean(g, fr.model, 8 * ell, 4 * ell)
     parts_union = clean.part_union()
     near_map = distance_map(g, parts_union, cutoff=4 * ell) if parts_union else {}
     touch_idx = next((idx for idx, v in enumerate(path) if v in near_map), None)
@@ -427,9 +433,12 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     terminal path.
 
     Every round checks each model it builds once, whatever the flags and
-    also under python -O: the cleaned model and the new frame.  A model
-    without edges is cleaned without a check, since cleaning leaves it as
-    the last round's check (or the empty start) found it.  A round skips
+    also under python -O: the cleaned model and the new frame.  A round
+    that ends in a hit cleans nothing, since the hit is read off branch
+    sets that cleaning keeps; only a coarse round whose pair is close
+    cleans before it hits (see _round).  A model without edges is
+    cleaned without a check, since cleaning leaves it as the last round's
+    check (or the empty start) found it.  A round skips
     the far-pair searches that the sizes of its components decide, reads
     its path off the one search that finds its candidate, and cuts its
     far-pair test at ell.  A solve keeps one table of branch-set centers,

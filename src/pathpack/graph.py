@@ -185,6 +185,20 @@ def _reach(g: Graph, x: Iterable[int], r: int | float) -> tuple[set[int], bool]:
     return seen, not _grow(g.adj, seen, list(seen), r)
 
 
+def _two_balls(g: Graph, x: Iterable[int], r: int,
+               s: int) -> tuple[frozenset[int], frozenset[int]]:
+    """ball(g, x, r) and ball(g, x, s) by one search, which grows the
+    larger ball on from the last level of the smaller.  The junction
+    construction's output check reads q's ell- and (2*ell - 1)-balls."""
+    lo, hi = sorted((r, s))
+    seen = set(x) if hi >= 0 else set()
+    last = _grow(g.adj, seen, list(seen), lo)
+    small = frozenset(seen) if lo >= 0 else frozenset()
+    _grow(g.adj, seen, last, hi - max(lo, 0))
+    big = frozenset(seen)
+    return (small, big) if r <= s else (big, small)
+
+
 def _grow(adj, seen: set[int], frontier: list[int], r: int | float) -> list[int]:
     """Add to seen every vertex up to r levels beyond frontier, a search's
     last level whose earlier levels seen holds, and return the last level

@@ -33,7 +33,8 @@ from typing import Iterable, NamedTuple, Union
 from .errors import (InputError, InternalInvariantError, PreconditionError,
                      require)
 from .graph import (Graph, UNREACHABLE, _connected, _grow, _take_component,
-                    ball, dist, has_radius_at_most, is_path, st_path)
+                    _two_balls, ball, dist, has_radius_at_most, is_path,
+                    st_path)
 
 
 class Leg(NamedTuple):
@@ -406,9 +407,9 @@ def _result_violations(g: Graph, vs: tuple[int, int, int], q: frozenset[int],
         out.append("hub is not connected")
     elif not has_radius_at_most(g, res.z, (3 * ell) // 2):
         out.append(f"hub radius exceeds {(3 * ell) // 2}")
-    if not res.z <= ball(g, q, 2 * ell - 1):
+    ball_q, hub_ball = _two_balls(g, q, ell, 2 * ell - 1)
+    if not res.z <= hub_ball:
         out.append(f"hub leaves the ({2 * ell - 1})-ball around q")
-    ball_q = ball(g, q, ell)
     for i in range(3):
         pi = res.p[i]
         if vs[i] not in pi:

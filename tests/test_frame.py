@@ -17,8 +17,10 @@ from pathpack import (
     SolveParams,
     ball,
     certificate_violations,
+    fat_to_clean,
     frame,
     graph,
+    is_clean,
     make_instance,
     solve,
     st_path,
@@ -285,6 +287,19 @@ class TestExtendOrHit:
         assert (out.branch_sets, out.branch_parts) == (want.branch_sets,
                                                        want.branch_parts)
 
+    def test_a_round_that_hits_cleans_nothing(self, monkeypatch):
+        # K2 frame on the path 0..49 at frame scale 16 with r=4: ell=1, the
+        # guard is the 12-ball around the centers 0 and 49, and it holds
+        # both terminals, so the round hits without cleaning the model
+        g, m = k2_path_model(50)
+        fr = Frame(m, 1, 16, 4, False, frozenset({0, 49}))
+
+        def unclean(*args):
+            raise AssertionError("a round that hits cleaned its model")
+
+        monkeypatch.setattr(frame, "_fat_to_clean", unclean)
+        assert extend_or_hit(g, fr) == frozenset({0, 49})
+
     def test_terminal_outside_the_graph_is_an_input_error(self):
         fr = empty_frame(frozenset({0, 99}), 16, 4, False)
         with pytest.raises(InputError, match="vertex 99 out of range"):
@@ -379,6 +394,18 @@ def test_a_grid_solve_grows_no_guard_that_a_known_component_gives(monkeypatch):
     assert isinstance(cert, HittingCertificate) and len(cert.x) == 1
     assert [(i, args[1]) for i, args in searched] == [(0, 0)]
     assert grown == []
+
+
+def test_a_spider_solve_cleans_only_in_the_rounds_it_extends(monkeypatch):
+    """The plain k = 2 spider solve extends its frame in rounds 0 and 1
+    and hits in round 2, which builds its guard but cleans nothing."""
+    g, a = make_instance("spider", 5000)
+    cleaned = counted_rounds(monkeypatch, "_fat_to_clean")
+    guarded = counted_rounds(monkeypatch, "_reach")
+    cert = solve(g, a, SolveParams(2, 1))
+    assert isinstance(cert, HittingCertificate)
+    assert [i for i, _ in guarded] == [0, 1, 2]
+    assert [i for i, _ in cleaned] == [0, 1]
 
 
 def known_components_frame():
@@ -687,3 +714,30 @@ def test_known_components_change_no_certificate(monkeypatch, family):
     monkeypatch.setattr(frame, "_round", forgetful)
     assert [solve(g, a, params) for g, a, params in cases] == kept
     assert max(handed) > 0
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, "spider 5000"])
+def test_a_frame_that_hits_can_be_cleaned(monkeypatch, family):
+    """A round that hits cleans nothing, yet its frame's model is one that
+    fat_to_clean accepts at the round's scale ell: the public call returns
+    a model that is 4*ell-clean.  Some frame of the spider's hitting
+    rounds has edges to reroute."""
+    fn = frame._round
+    hits = []
+
+    def checked(g, fr, centers, known):
+        out = fn(g, fr, centers, known)
+        if isinstance(out, frozenset):
+            ell = fr.ell // 16
+            clean = fat_to_clean(g, fr.model, 8 * ell, 4 * ell)
+            assert is_clean(g, clean, 4 * ell)
+            hits.append(fr.pattern.n_edges)
+        return out
+
+    monkeypatch.setattr(frame, "_round", checked)
+    cases = spider_cases() if family == "spider 5000" else table_cases(family)
+    for g, a, params in cases:
+        solve(g, a, params)
+    assert hits
+    if family == "spider 5000":
+        assert min(hits) > 0

@@ -639,6 +639,19 @@ def test_reach_is_the_ball_and_says_when_it_is_closed(n, seed, seeds, r):
         assert closed
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 10_000), st.integers(0, 4),
+       st.integers(-2, 20), st.integers(-2, 20))
+def test_two_balls_are_the_balls_of_either_radius(n, seed, seeds, r, s):
+    """_two_balls grows one search to the larger radius; each ball it
+    gives is ball's, a negative radius's empty, whichever radius is
+    larger."""
+    g, _ = make_instance("random", n, seed)
+    x = random.Random(seed).sample(range(g.n), min(seeds, g.n))
+    assert graph_module._two_balls(g, x, r, s) == (ball(g, x, r),
+                                                   ball(g, x, s))
+
+
 def grown_set(g: Graph, rng: random.Random, size: int) -> set[int]:
     """A connected set of up to size vertices, grown one random neighbour
     at a time from a random vertex."""

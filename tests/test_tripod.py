@@ -6,8 +6,8 @@ from collections import Counter
 import pytest
 
 from helpers import generated_tripod_instances, path_graph
-from pathpack import (Graph, InputError, PreconditionError, SolveParams, dist,
-                      make_instance, solve, st_path)
+from pathpack import (Graph, InputError, PreconditionError, SolveParams, ball,
+                      dist, make_instance, solve, st_path)
 from pathpack.graph import UNREACHABLE
 from pathpack.tripod import (
     Leg,
@@ -560,6 +560,20 @@ def test_bad_hub_is_reported_not_raised(hub):
     out = check_tripod_result(g, vs, q, ell, d, TripodResult(z=hub, p=good.p))
     assert "hub is not connected" in out
     assert not any("radius" in msg for msg in out)
+
+
+@pytest.mark.parametrize("ell", [-1, 0, 1, 2, 3])
+@pytest.mark.parametrize("hub", [{104}, {2}, {3}])
+def test_hub_ball_is_the_public_ball(hub, ell):
+    # on the spider core q = 100..104, chain vertex j hangs j + 1 edges
+    # from 100; the hub is reported exactly when it leaves the public
+    # (2*ell - 1)-ball, which is empty for ell < 1
+    g, vs, q, _, d = spider_instance()
+    good = tripod(g, vs, q, 2, d)
+    out = check_tripod_result(g, vs, q, ell, d,
+                              TripodResult(z=frozenset(hub), p=good.p))
+    leaves = f"hub leaves the ({2 * ell - 1})-ball around q"
+    assert (leaves in out) == (not hub <= ball(g, q, 2 * ell - 1))
 
 
 def test_long_slide_iteration_count():
