@@ -20,7 +20,7 @@ from .errors import (InputError, InternalInvariantError, ParameterRangeError,
                      PreconditionError)
 from .frame import PackingCertificate, SolveParams, certificate_violations, solve
 from .generate import A_POLICIES, FAMILIES, make_instance
-from .model import _fatness, fat_to_clean
+from .model import fat_to_clean, fatness
 from .topominor import make_topological
 from .tripod import tripod
 
@@ -102,9 +102,7 @@ def _cmd_topo(args: argparse.Namespace) -> int:
     g = fileio.read_graph(args.graph)
     m = fileio.read_model(args.model)
     out = make_topological(g, m, args.ell)
-    # make_topological has validated its output already
-    new_fat = _fatness(g, out)
-    print(f"fatness {new_fat}", file=sys.stderr)
+    print(f"fatness {fatness(g, out)}", file=sys.stderr)
     _emit(fileio.model_to_text(out), args.out)
     return EXIT_OK
 

@@ -19,8 +19,8 @@ from .forest import _leaf_bound, degree_classes, extract_z_paths
 from .graph import (Graph, UNREACHABLE, _least_far_pair, _reach, _search_tree,
                     _tree_path, dist, distance_map, has_radius_at_most,
                     radius_center, st_path)
-from .model import (FatModel, PatternGraph, _fat_to_clean, _fatness,
-                    part_vertices, validate_model)
+from .model import (FatModel, PatternGraph, _check_model, _fat_to_clean,
+                    part_vertices)
 from .oracle import hitting_violations, packing_violations
 
 MAX_RADIUS = 2 ** 62
@@ -116,7 +116,7 @@ def validate_frame(g: Graph, fr: Frame) -> list[str]:
         out.append(f"fatness scale must be positive, got {fr.ell}")
     if fr.r < 0:
         out.append(f"radius budget must be nonnegative, got {fr.r}")
-    bad_model = validate_model(g, fr.model)
+    bad_model, fat = _check_model(g, fr.model, fr.ell)
     if bad_model:
         return out + [f"model: {msg}" for msg in bad_model]
     dc = degree_classes(fr.pattern)
@@ -125,13 +125,12 @@ def validate_frame(g: Graph, fr: Frame) -> list[str]:
         out.append(f"counter i={fr.i} does not match structure value {expected}")
     if not _leaf_bound(dc):
         out.append("pattern violates the leaf/branching bound")
-    fat = _fatness(g, fr.model, fr.ell)
     if fat < fr.ell:
         out.append(f"model fatness {fat} below the frame scale {fr.ell}")
     for x in fr.pattern.vertex_ids():
         raw = fr.model.branch_sets[x]
         vs = part_vertices(raw)
-        # validate_model has found vs connected, and a connected set of s
+        # _check_model has found vs connected, and a connected set of s
         # vertices has radius at most s - 1
         if fr.r < len(vs) - 1 and not has_radius_at_most(g, vs, fr.r):
             out.append(f"branch set of vertex {x} has radius above {fr.r}")

@@ -32,7 +32,8 @@ class Graph:
         """The graph on 0..n-1 with the given edges.  An edge listed more
         than once, in either order, is kept once; an out-of-range edge or a
         loop raises InputError, naming the first one in the edges' order,
-        and so does a bool endpoint.
+        and so does a bool or other non-int endpoint, an edge that is not a
+        pair and a vertex count that is not an int.
 
         Edges in the form graph_to_text writes, u < v < n in each and the
         pairs strictly increasing, are appended as they come: each adj[v]
@@ -40,6 +41,8 @@ class Graph:
         larger ones, so the lists come out sorted and free of repeats.  Only
         after a pair out of that form are the lists sorted and deduplicated.
         """
+        if type(n) is not int:
+            raise InputError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         if n > MAX_VERTICES:
@@ -50,17 +53,23 @@ class Graph:
         # makes u >= 0, and then u*n + v orders the pairs as tuples do
         last = -1
         ordered = True
-        for u, v in edges:
-            if u < v < n and (key := u * n + v) > last:
-                last = key
-            else:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-                if u == v:
-                    raise InputError(f"loop at vertex {u} not allowed")
-                ordered = False
-            adj[u].append(v)
-            adj[v].append(u)
+        # a non-int id other than a bool fails a comparison or an index, and
+        # a non-pair fails to unpack: one try spares the loop a type test
+        try:
+            for u, v in edges:
+                if u < v < n and (key := u * n + v) > last:
+                    last = key
+                else:
+                    if not (0 <= u < n and 0 <= v < n):
+                        raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+                    if u == v:
+                        raise InputError(f"loop at vertex {u} not allowed")
+                    ordered = False
+                adj[u].append(v)
+                adj[v].append(u)
+        except (TypeError, ValueError) as exc:
+            raise InputError("an edge is not a pair, or an endpoint is not an int: "
+                             f"{exc}") from None
         if not ordered:
             adj = [sorted(set(lst)) for lst in adj]
         # True and False pass the checks above as 1 and 0, so a bool can

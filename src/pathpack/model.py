@@ -216,6 +216,13 @@ def _check_keys(m: FatModel) -> None:
 
 def validate_model(g: Graph, m: FatModel) -> list[str]:
     """All structural violations of the model conditions, empty when valid.
+    Runs no distance search: see _check_model."""
+    return _check_model(g, m, 0)[0]
+
+
+def _check_model(g: Graph, m: FatModel,
+                 bound: int | float) -> tuple[list[str], int | float]:
+    """validate_model's violations, and the fatness floored at bound.
 
     The screen pass checks each branch set and part alone: nonempty, ids
     in range, connected, and a tuple part a real path.  It screens a raw
@@ -225,6 +232,13 @@ def validate_model(g: Graph, m: FatModel) -> list[str]:
     all_elements order, decides each pair by one rule: a vertex and an
     incident edge (the pairs _exempt names) must meet, two edges sharing
     a vertex z may meet only inside M_z, and all other pairs are disjoint.
+
+    The second value is the exact fatness below bound and bound otherwise,
+    so a valid m is q-fat iff its value at bound q reaches q.  Each element
+    runs one search to the union of the later elements it forms no exempt
+    pair with, cut one below the least value so far, which starts at
+    bound.  None runs once a violation is found or the value is 0, so
+    bound 0 runs none; for an invalid model the value means nothing.
     """
     _check_keys(m)
     violations: list[str] = []
@@ -251,16 +265,19 @@ def validate_model(g: Graph, m: FatModel) -> list[str]:
             if is_tuple:
                 violations.append(f"branch part of {name} is marked as a path but is not one")
     if foreign:
-        return violations
+        return violations, bound
 
     elements = m.all_elements()
+    best = bound
     for idx, (ka, ia, va) in enumerate(elements):
+        paired: list[frozenset[int]] = []
         for kb, ib, vb in elements[idx + 1:]:
             if _exempt(m, (ka, ia), (kb, ib)):
                 if va.isdisjoint(vb):
                     violations.append(
                         f"branch part of edge {ib} misses the branch set of vertex {ia}")
                 continue
+            paired.append(vb)
             shared = (set(m.pattern.endpoints(ia)) & set(m.pattern.endpoints(ib))
                       if ka == kb == "e" else None)
             if shared:
@@ -274,7 +291,12 @@ def validate_model(g: Graph, m: FatModel) -> list[str]:
                 violations.append(
                     f"branch parts of non-incident elements {(ka, ia)} and "
                     f"{(kb, ib)} intersect")
-    return violations
+        if paired and best > 0 and not violations:
+            # the least distance to the paired elements is the distance to
+            # their union, and one search that stops below best finds it
+            best = min(best, dist(g, va, set().union(*paired),
+                                  cutoff=None if best is inf else best - 1))
+    return violations, best
 
 
 def _exempt(m: FatModel, a: tuple[str, int], b: tuple[str, int]) -> bool:
@@ -290,59 +312,28 @@ def fatness(g: Graph, m: FatModel) -> int | float:
     pair counts, including edges sharing a pattern vertex.  Returns inf when
     no pair counts.  Raises PreconditionError if the model is invalid.
     """
-    _refuse_invalid(g, m)
-    return _fatness(g, m)
-
-
-def _refuse_invalid(g: Graph, m: FatModel) -> None:
-    """Raise the PreconditionError of fatness when m is not a valid model."""
-    bad = validate_model(g, m)
+    bad, measured = _check_model(g, m, inf)
     if bad:
         raise PreconditionError(f"fatness of invalid model: {bad[0]}")
+    return measured
 
 
 def _refuse_thin(g: Graph, m: FatModel, q: int, what: str) -> None:
     """Raise the PreconditionError of step `what`, which needs a valid
     q-fat model: fatness's for an invalid m, and one naming q and the
     exact fatness below it for a valid m that is not q-fat."""
-    _refuse_invalid(g, m)
-    measured = _fatness(g, m, q)
+    bad, measured = _check_model(g, m, q)
+    if bad:
+        raise PreconditionError(f"fatness of invalid model: {bad[0]}")
     if measured < q:
         raise PreconditionError(
             f"{what} needs fatness at least {q}, measured fatness {measured}")
 
 
-def _fatness(g: Graph, m: FatModel, bound: int | float = inf) -> int | float:
-    """fatness of a model the caller has just validated, floored at bound.
-
-    Returns the exact fatness when it is below bound, and bound otherwise,
-    so `_fatness(g, m, q) >= q` iff m is q-fat, and a value below q is the
-    one fatness reports.  Each search is cut one below the least value
-    found so far, which starts at bound, so a caller that only compares
-    with a bound passes it and no search runs past it.
-    """
-    elements = m.all_elements()
-    best = bound
-    for idx, (ka, ia, vsa) in enumerate(elements):
-        # the least distance to the later elements is the distance to their
-        # union, and one search that stops below best finds it
-        others: set[int] = set()
-        for kb, ib, vsb in elements[idx + 1:]:
-            if not _exempt(m, (ka, ia), (kb, ib)):
-                others |= vsb
-        if not others:
-            continue
-        dv = dist(g, vsa, others, cutoff=None if best is inf else best - 1)
-        if dv < best:
-            best = dv
-    return best
-
-
 def _require_fat(g: Graph, m: FatModel, q: int, what: str) -> None:
     """Output check of a model a step has built: valid and q-fat."""
-    bad = validate_model(g, m)
+    bad, post = _check_model(g, m, q)
     require(not bad, f"{what} invalid: " + "; ".join(bad))
-    post = _fatness(g, m, q)
     require(post >= q, f"{what} fatness {post} below {q}")
 
 

@@ -49,39 +49,39 @@ def test_spider_round_checks_each_model_once(monkeypatch, validate):
     """The solve checks three models: round 1's cleaned model and the new
     frames of rounds 0 and 1.  Round 0 cleans the empty model, which
     fat_to_clean leaves as it is, and round 2 hits, so it cleans nothing.
-    _fatness is the measurement that fatness runs once per call."""
+    Each check is one _check_model call, which validates the model and
+    measures its fatness in one pass."""
     g, a = make_instance("spider", 5000)
-    counts = count_calls(monkeypatch, model._fatness, model.validate_model)
+    counts = count_calls(monkeypatch, model._check_model)
     solve(g, a, SolveParams(2, 1), validate=validate)
-    assert counts["_fatness"] <= 3
-    assert counts["validate_model"] <= 3
+    assert counts["_check_model"] <= 3
 
 
 @pytest.mark.parametrize("validate", [False, True])
 def test_spider_fatness_searches_stop_at_the_bound(monkeypatch, validate):
     """Every fatness check of a solve compares with a bound it passes to
-    _fatness, so each of its searches has a finite cutoff, though the
+    _check_model, so each of its searches has a finite cutoff, though the
     spider's legs run for thousands of vertices."""
     inside = []
     cutoffs = []
-    fatness = model._fatness
+    check = model._check_model
 
     def dist(*args, _fn=model.dist, **kwargs):
         if inside:
             cutoffs.append(kwargs.get("cutoff"))
         return _fn(*args, **kwargs)
 
-    def _fatness(*args):
+    def _check_model(*args):
         inside.append(True)
         try:
-            return fatness(*args)
+            return check(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(model, "dist", dist)
     for name, mod in list(sys.modules.items()):
-        if name.startswith("pathpack") and vars(mod).get("_fatness") is fatness:
-            monkeypatch.setattr(mod, "_fatness", _fatness)
+        if name.startswith("pathpack") and vars(mod).get("_check_model") is check:
+            monkeypatch.setattr(mod, "_check_model", _check_model)
     g, a = make_instance("spider", 5000)
     solve(g, a, SolveParams(2, 1), validate=validate)
     assert cutoffs
@@ -165,19 +165,19 @@ def test_round_skips_the_searches_its_sizes_decide(monkeypatch):
     is cleaned without a check."""
     counts = count_calls(monkeypatch, graph._least_far_pair,
                          graph._search_tree, graph.st_path,
-                         model.validate_model)
+                         model._check_model)
     g, a = make_instance("random", 160, seed=1, a_policy="all")
     solve(g, a, SolveParams(3, 1))
     assert counts["_least_far_pair"] <= 1
     assert counts["_search_tree"] <= 24
-    assert counts["validate_model"] <= 5
+    assert counts["_check_model"] <= 5
     counts.clear()
     g, a = make_instance("path", 40, a_policy="all")
     solve(g, a, SolveParams(2, 1))
     assert counts["_search_tree"] == 1
     assert counts["_least_far_pair"] == 0
     assert counts["st_path"] == 0
-    assert counts["validate_model"] == 1
+    assert counts["_check_model"] == 1
 
 
 @pytest.mark.parametrize("family, n, a_policy, k", [

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -151,12 +152,25 @@ def test_graph_names_the_first_bad_edge(seed):
     [(False, 2), (1, 3)],
     [(1, 3), (3, False)],
     [(True, False), (2, 3)],
+    [(0, 1.0)],                          # gen's form: fails the index
+    [("0", 1)],                          # fails the comparison
+    [(None, 1)],
+    [(0, 1, 2)],                         # not a pair
+    [(2, 3), (1, 0.5)],                  # out of form: fails the index
 ])
 def test_graph_refuses_a_bool_endpoint(edges):
     """A bool passes the range checks as 0 or 1; the graph refuses it once
-    the lists are built, on either construction path."""
+    the lists are built, on either construction path.  A float, str or None
+    endpoint and an edge that is not a pair get InputError too, not the
+    loop's TypeError or ValueError."""
     with pytest.raises(InputError, match="is not an int"):
         Graph(4, edges)
+
+
+@pytest.mark.parametrize("n", [4.0, "4", None, True])
+def test_graph_refuses_a_vertex_count_that_is_not_an_int(n):
+    with pytest.raises(InputError, match="vertex count must be an int"):
+        Graph(n)
 
 
 class TestDist:
@@ -457,6 +471,35 @@ class TestLeastFarPair:
         monkeypatch.setattr(graph_module, "_levels", counted)
         assert graph_module._least_far_pair(g, list(range(100)), threshold) is None
         assert len(searches_run) == searches
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def window_terminals(seed, corner0):
+        """The 66x66 grid of the benchmark's grid window at the given seed,
+        and its random_p terminals plus the four corners, less corner 0
+        unless corner0."""
+        side = 66
+        g, a = make_instance("grid", side * side, seed, "random_p")
+        a |= {0, side - 1, side * (side - 1), side * side - 1}
+        return g, sorted(a if corner0 else a - {0})
+
+    @pytest.mark.parametrize("corner0", [True, False])
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("threshold", [16, 64, 120, 126, 128, 129, 130])
+    def test_window_grid_pairs_match_the_oracle(self, seed, corner0, threshold):
+        """Without corner 0 the pairs at 128-130 sit between other corners
+        and terminals near them, and the sweeps find them."""
+        g, a = self.window_terminals(seed, corner0)
+        assert least_far_pair(g, a, threshold) == far_pair(g, a, threshold)
+
+    @pytest.mark.parametrize("corner0", [True, False])
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("threshold", [131, 256])
+    def test_window_grid_has_no_pair_beyond_its_diameter(self, seed, corner0,
+                                                        threshold):
+        """The grid's diameter is 130, so no pair is 131 apart."""
+        g, a = self.window_terminals(seed, corner0)
+        assert least_far_pair(g, a, threshold) is None
 
     def test_grid_solve_sweeps_once(self, monkeypatch):
         """The plain 66x66 grid solve with k=2, d=1 asks for a pair 256

@@ -1,10 +1,11 @@
 """Source checks: every module keeps every invariant under python -O,
 host-graph searches, down to one BFS layer over adj[...], live in
 graph.py's pinned kernels, Graph.__init__ alone builds a graph, the
-solver calls no public step that checks its input, only the exact
-reports call _fatness without a bound, the verifiers import a pinned set
+solver calls no public step that checks its input, only fatness calls
+_check_model with an inf bound, the verifiers import a pinned set
 of names from graph.py, only graph.py compares a value with the vertex
-count g.n, and no set operator takes a dict view on its left.
+count g.n, no set operator takes a dict view on its left, and every
+module parses at the Python floor that pyproject.toml names.
 
 A bare assert and an `if __debug__:` block both vanish when Python runs
 with -O, so an invariant kept that way silently stops being checked.  An
@@ -16,6 +17,7 @@ compares an id with g.n itself keeps a screen of its own.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -325,9 +327,9 @@ def test_checked_step_detector_sees_plain_and_module_calls():
 
 
 def fatness_calls(source: str) -> list[str]:
-    """Every _fatness call in the given source as "function: bounded" or
-    "function: exact", after the top-level function or method that holds
-    it and whether it passes a bound."""
+    """Every _check_model call in the given source as "function: bounded"
+    or "function: exact", after the top-level function or method that
+    holds it; a call is exact when its bound is inf."""
     out = []
     for top in ast.parse(source).body:
         defs = top.body if isinstance(top, ast.ClassDef) else [top]
@@ -337,17 +339,19 @@ def fatness_calls(source: str) -> list[str]:
                     continue
                 fn = sub.func
                 name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
-                if name != "_fatness":
+                if name != "_check_model":
                     continue
-                bounded = len(sub.args) >= 3 or any(
-                    kw.arg == "bound" for kw in sub.keywords)
-                out.append(f"{node.name}: {'bounded' if bounded else 'exact'}")
+                bound = sub.args[2:] + [kw.value for kw in sub.keywords
+                                        if kw.arg == "bound"]
+                exact = any(getattr(b, "id", getattr(b, "attr", None)) == "inf"
+                            for b in bound)
+                out.append(f"{node.name}: {'exact' if exact else 'bounded'}")
     return out
 
 
-# fatness and pathpack topo report the exact value; every check compares
-# with a bound, so it passes that bound and its searches stop there
-EXACT_FATNESS = {"model": ["fatness: exact"], "cli": ["_cmd_topo: exact"]}
+# only fatness reports the exact value; every check compares with a
+# bound, so it passes that bound and its searches stop there
+EXACT_FATNESS = {"model": ["fatness: exact"]}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -357,11 +361,14 @@ def test_fatness_checks_pass_their_bound(module):
 
 
 def test_fatness_detector_tells_bounded_from_exact():
-    source = ("def f(g, m):\n    return _fatness(g, m)\n"
-              "def h(g, m, q):\n    model._fatness(g, m, q)\n"
-              "    _fatness(g, m, bound=q)\n"
-              "class C:\n    def k(self, g, m):\n        fatness(g, m)\n")
-    assert fatness_calls(source) == ["f: exact", "h: bounded", "h: bounded"]
+    source = ("def f(g, m):\n    return _check_model(g, m, inf)\n"
+              "def h(g, m, q):\n    model._check_model(g, m, q)\n"
+              "    _check_model(g, m, bound=math.inf)\n"
+              "    _check_model(g, m, 0)\n"
+              "class C:\n    def k(self, g, m):\n        fatness(g, m)\n"
+              "        _check_model(g, m, bound=inf)\n")
+    assert fatness_calls(source) == ["f: exact", "h: bounded", "h: exact",
+                                     "h: bounded", "k: exact"]
 
 
 def vertex_count_comparisons(source: str) -> list[str]:
@@ -388,3 +395,31 @@ def test_vertex_count_detector_sees_each_comparison_form():
               "    left = g.n - len(p)\n"
               "    return [w for w in range(g.n) if w < left], v < self.n\n")
     assert vertex_count_comparisons(source) == ["line 2", "line 3", "line 4"]
+
+
+def python_floor() -> tuple[int, int]:
+    """The least Python version pyproject.toml promises, read with a
+    regex, since tomllib only comes with 3.11."""
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text, re.M)
+    assert found, "pyproject.toml names no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+def test_python_floor_is_read():
+    assert python_floor() >= (3, 10)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_parses_at_the_python_floor(module):
+    ast.parse((SRC / f"{module}.py").read_text(), feature_version=python_floor())
+
+
+@pytest.mark.parametrize("source", [
+    "try:\n    pass\nexcept* ValueError:\n    pass\n",    # 3.11
+    "type Pair = tuple[int, int]\n",                       # 3.12, PEP 695
+    "def first[T](xs: list[T]) -> T:\n    return xs[0]\n",  # 3.12, PEP 695
+])
+def test_floor_parse_refuses_newer_syntax(source):
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))

@@ -21,8 +21,9 @@ from pathpack import (
     make_topological,
     solve,
 )
+import pathpack.model as model_module
 from pathpack.model import (
-    _fatness,
+    _check_model,
     fat_to_clean,
     fatness,
     is_clean,
@@ -428,14 +429,29 @@ def test_fatness_matches_brute_force(monkeypatch):
     assert sum(m.pattern.n_edges >= 2 for _, m in cases) >= 8
     for g, m in cases:
         assert validate_model(g, m) == []
-        assert _fatness(g, m) == brute_fatness(g, m)
+        assert _check_model(g, m, inf) == ([], brute_fatness(g, m))
+
+
+def test_validate_model_runs_no_distance_search(monkeypatch):
+    """validate_model is _check_model at bound 0, so it validates without
+    measuring: its pair pass runs no dist."""
+    cases = [*helper_models(), *solver_models(monkeypatch)]
+    searches = []
+
+    def dist(*args, _fn=model_module.dist, **kwargs):
+        searches.append(args)
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(model_module, "dist", dist)
+    for g, m in cases:
+        assert validate_model(g, m) == []
+    assert searches == []
 
 
 def test_fatness_floor_decides_the_bound(monkeypatch):
-    """_fatness(g, m, b) reaches b exactly when the model is b-fat, and a
-    value below b is the exact fatness, at the bounds on either side of
-    the exact value as well as 0, 1 and inf; the spider's frames are those
-    of the first rung of the benchmark's spider ladder."""
+    """_check_model(g, m, b) finds a valid model b-fat exactly when it is,
+    and a value below b is the exact fatness, at the bounds on either side
+    of the exact value as well as 0, 1 and inf; the spider's frames are
+    those of the first rung of the benchmark's spider ladder."""
     spider = [(make_instance("spider", 5000, seed=1, a_policy="endpoints"), 2)]
     cases = [*helper_models(), *scattered_models(), *solver_models(monkeypatch),
              *solver_models(monkeypatch, spider)]
@@ -444,7 +460,8 @@ def test_fatness_floor_decides_the_bound(monkeypatch):
         exact = brute_fatness(g, m)
         assert fatness(g, m) == exact
         for b in (0, 1, exact, exact + 1, inf):
-            got = _fatness(g, m, b)
+            bad, got = _check_model(g, m, b)
+            assert bad == []
             assert (got >= b) == (exact >= b)
             if got < b:
                 assert got == exact
