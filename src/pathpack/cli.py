@@ -4,8 +4,8 @@ Exit codes: 0 success (solve: packing found), 10 solve found a hitting
 set, 1 verification or precondition failure, 2 malformed input (also a
 file that is not UTF-8), 3 parameters out of the supported numeric range
 (k at most 7; a graph header may announce at most graph.MAX_VERTICES =
-10^7 vertices), 4 an internal invariant failed (a bug in pathpack, never
-a user error).
+10^7 vertices) or an input too large for the memory available, 4 an
+internal invariant failed (a bug in pathpack, never a user error).
 """
 
 from __future__ import annotations
@@ -188,6 +188,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("out of memory: the input is too large for the memory available",
+              file=sys.stderr)
+        return EXIT_RANGE
 
 
 if __name__ == "__main__":

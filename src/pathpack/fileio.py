@@ -173,6 +173,9 @@ def certificate_from_json(text: str) -> tuple[SolveParams, Certificate]:
     except ValueError as exc:
         # JSONDecodeError, or a number longer than int() may convert
         raise InputError(f"certificate is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # arrays or objects nested deeper than the interpreter's stack
+        raise InputError(f"certificate nests too deeply: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("certificate must be a JSON object")
     for key in ("type", "k", "d", "coarse"):

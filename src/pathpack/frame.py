@@ -158,9 +158,7 @@ def extend_or_hit(g: Graph, fr: Frame) -> Union[Frame, frozenset[int]]:
     branch-set centers, a hitting set: no terminal path (in coarse mode, no
     ell-coarse terminal path) avoids their (r + 8*ell)-balls.  The round
     starts from empty tables: every branch set's center is measured, and
-    no component is known to it.  The model is cleaned only once the
-    round has a pair to place, so a round that hits with none cleans
-    nothing (see _round).
+    no component is known to it.  Its phases are those of _round.
     """
     if fr.ell % 16 != 0:
         raise PreconditionError(f"frame scale {fr.ell} is not divisible by 16")
@@ -185,59 +183,67 @@ def _require_valid(g: Graph, fr: Frame) -> None:
 def _round(g: Graph, fr: Frame, centers: dict[int, int],
            known: dict[int, Tree]) -> Union[Frame, frozenset[int]]:
     """extend_or_hit of a frame on the solver's schedule that has passed
-    validate_frame, which also bounds its branch sets' radii by fr.r.  The
-    new frame is checked once, by validate_frame.  A round that ends in a
-    hit cleans nothing: the hit is read off the centers of fr's branch
-    sets, which fat_to_clean keeps as they are, so the model is cleaned
-    only once the round has a pair to place.  A coarse round whose pair
-    is close still cleans: it hits only after its path misses the
-    cleaned branch paths.
+    validate_frame, which also bounds its branch sets' radii by fr.r.
 
-    centers maps the pattern vertices of fr, and no others, to the centers
-    of their branch sets.  The round measures the sets missing from it, and
-    records the center of each set it builds: a new K2's single terminals
-    are their own centers, and a close pair's host geodesic has its middle
-    vertex (the lower id of two).  fat_to_clean and augment keep every old
-    branch set as it was, and ids are never reused, so a solve measures
-    only the sets augment builds, each once.
+    The round runs five phases in order: _centers gives the hit, _guard
+    grows the balls around it, _candidates picks a terminal pair off the
+    guard, _place builds the new model around the pair's path, and
+    validate_frame checks the new frame, the one check of the round.  The
+    round hits when no candidate holds a pair, or when _place finds a
+    coarse round's close pair far from the branch paths.
 
-    One search per candidate yields both its vertex set and its path: a
-    FIFO search from the candidate's least terminal in g minus the guard,
-    whose parent tree holds the path st_path would find within the
-    candidate to any of its vertices.  The far-pair test, given terminals
-    it knows to lie in one component, stops its first map at ell - 1,
-    where the round's answer is decided.  Searches whose answer the sizes
-    already fix are skipped: a candidate of at most ell vertices has no
-    pair ell apart, and neither has any candidate once at most ell
-    unsearched vertices are left.
-
-    known maps a vertex v to a search tree of v's whole component of g,
-    for the length of a solve.  A candidate's least terminal keys the
-    candidate's tree, rooted there.  When the round builds a K2 or a close
-    pair in a whole component, the K2's first terminal or the close pair's
-    center keys the tree its path was read off.  A known component holding
-    a center joins the guard with no search when it lies in that center's
-    ball, since no ball leaves its component; only the other centers'
-    balls are grown.  A center whose component does not fit loses its
-    key, since a later round's radius is smaller.  When the grown balls
-    end before the guard radius, the guard is closed: a union of whole
-    components, as the empty guard of round 0 is.  Every candidate of a
-    closed round is then a whole component, so the round reads a known
-    candidate's tree and records each new one, the far-pair test reads
-    its maps from the least terminal off that tree, with no search of its
-    own, and a close pair's path is already its geodesic in the host.  A
-    closed round absorbs no path: every branch path lies in a guarded
-    component.
+    centers and known are the tables of a solve, which start empty: centers
+    maps the pattern vertices of fr, and no others, to the centers of their
+    branch sets, and known maps a vertex v to a search tree of v's whole
+    component of g.  _centers, _guard, _candidates and _place say how each
+    reads and writes them.
     """
     ell = fr.ell // 16
+    hit = _centers(g, fr, centers)
+    guard, closed = _guard(g, hit, known, fr.r + 8 * ell)
+    found = _candidates(g, fr.a_set, guard, closed, known, ell)
+    if found is None:
+        return hit
+    path, tree, close = found
+    model = _place(g, fr, path, tree if closed else None, close, centers, known)
+    if model is None:
+        return hit
+    new_frame = Frame(model=model, i=fr.i + 1, ell=ell, r=fr.r,
+                      coarse=fr.coarse, a_set=fr.a_set)
+    bad = validate_frame(g, new_frame)
+    require(not bad, "extension produced an invalid frame: " + "; ".join(bad))
+    return new_frame
+
+
+def _centers(g: Graph, fr: Frame, centers: dict[int, int]) -> frozenset[int]:
+    """The round's hit: the centers of fr's branch sets.  fat_to_clean
+    keeps every branch set as it is, so the hit needs no cleaned model.
+
+    The sets missing from centers are measured and entered.  _place
+    records the center of each set it builds, fat_to_clean and augment
+    keep every old branch set as it was, and ids are never reused, so a
+    solve measures only the sets augment builds, each once.
+    """
     for x in fr.pattern.vertex_ids():
         if x not in centers:
             centers[x] = radius_center(g, part_vertices(fr.model.branch_sets[x]))[0]
     hit = frozenset(centers.values())
     require(len(hit) == len(centers), "branch-set centers collide")
+    return hit
 
-    radius = fr.r + 8 * ell
-    # no ball leaves its component, so a known one that fits joins whole
+
+def _guard(g: Graph, hit: frozenset[int], known: dict[int, Tree],
+           radius: int) -> tuple[set[int], bool]:
+    """The union of the radius-balls of the centers in hit, and whether it
+    is closed: a union of whole components, as the empty guard of round 0
+    is.
+
+    A known component holding a center joins the guard with no search when
+    it lies in that center's ball, since no ball leaves its component; only
+    the other centers' balls are grown.  A center whose component does not
+    fit loses its key, since a later round's radius is smaller.  The guard
+    is closed when the grown balls end before the radius.
+    """
     inside: list[Tree] = []
     for c in hit:
         tree = known.get(c)
@@ -251,18 +257,43 @@ def _round(g: Graph, fr: Frame, centers: dict[int, int],
                                if not any(c in t for t in inside)], radius)
     for tree in inside:
         guard.update(tree)
-    # Candidates are the components of the unguarded region holding two or
-    # more terminals, taken in ascending order of their least terminal; a
-    # component without terminals is never searched.  The first candidate
-    # with a far pair gives it, else the least two terminals of the first.
-    # Two vertices of a connected set C are at most |C| - 1 apart, so a
-    # candidate of at most ell vertices holds no far pair, and once the
-    # unsearched vertices number at most ell no later candidate does.
+    return guard, closed
+
+
+def _candidates(g: Graph, a_set: frozenset[int], guard: set[int], closed: bool,
+                known: dict[int, Tree], ell: int
+                ) -> Optional[tuple[tuple[int, ...], Tree, bool]]:
+    """The round's terminal pair off the guard, as (path, tree, close): the
+    pair's path in g minus the guard, the search tree it was read off, and
+    whether the pair is close, less than ell apart.  None when no
+    candidate holds two terminals.
+
+    Candidates are the components of g minus the guard that hold two or
+    more terminals, taken in ascending order of their least terminal; a
+    component without terminals is never searched.  The first candidate
+    with a pair ell apart gives it, else the least two terminals of the
+    first are the close pair.  One search per candidate yields both its
+    vertex set and its path: a FIFO search from the candidate's least
+    terminal in g minus the guard, whose parent tree holds the path
+    st_path would find within the candidate to any of its vertices.  The
+    far-pair test, given terminals it knows to lie in one component, stops
+    its first map at ell - 1, where the round's answer is decided.
+    Searches whose answer the sizes already fix are skipped: two vertices
+    of a connected set C are at most |C| - 1 apart, so a candidate of at
+    most ell vertices has no pair ell apart, and neither has any candidate
+    once at most ell unsearched vertices are left.
+
+    When the guard is closed, every candidate is a whole component of g:
+    the round reads a known candidate's tree, records each new one under
+    the candidate's least terminal, the root of its tree, and the far-pair
+    test reads its maps from the least terminal off that tree, with no
+    search of its own.
+    """
     pair = None
     first = None
     placed: set[int] = set()
     left = g.n - len(guard)
-    for a in sorted(fr.a_set - guard):
+    for a in sorted(a_set - guard):
         if a in placed:
             continue
         if first is not None and left <= ell:
@@ -273,25 +304,22 @@ def _round(g: Graph, fr: Frame, centers: dict[int, int],
             if closed:
                 known[a] = tree
         left -= len(tree)
-        averts = sorted(fr.a_set.intersection(tree))
+        averts = sorted(a_set.intersection(tree))
         placed.update(averts)
         if len(averts) < 2:
             continue
         if first is None:
             first = (tree, averts)
-        # the tree of a whole component gives the far-pair test its maps
-        # from the candidate's least terminal
         pair = (_least_far_pair(g, averts, ell, tree if closed else None)
                 if len(tree) > ell else None)
         if pair is not None:
             break
     if first is None:
-        return hit
-    close_pair = pair is None  # no candidate holds a pair ell apart
-    if close_pair:
+        return None
+    close = pair is None
+    if close:
         tree, averts = first
         pair = (averts[0], averts[1])
-
     # the tree is rooted at the candidate's least terminal; a far pair
     # found by a later per-vertex search starts elsewhere, and its own tree
     # holds the same candidate
@@ -301,8 +329,31 @@ def _round(g: Graph, fr: Frame, centers: dict[int, int],
                 "chosen terminal pair is not connected off the guarded region")
     path = _tree_path(tree, pair[1])
     require(guard.isdisjoint(path), "new terminal path enters the guarded region")
-    a1, a2 = path[0], path[-1]
+    return path, tree, close
 
+
+def _place(g: Graph, fr: Frame, path: tuple[int, ...], whole: Optional[Tree],
+           close: bool, centers: dict[int, int],
+           known: dict[int, Tree]) -> Optional[FatModel]:
+    """The model of the next frame, built from fr's around the terminal
+    path that _candidates chose, or None when the round hits: a coarse
+    round's close pair whose path misses the branch paths.
+
+    whole is the search tree that path was read off when it spans a whole
+    component of g, and None otherwise.  fr's model is cleaned first, so a
+    round that hits for want of a pair cleans nothing; the coarse round
+    that hits here has cleaned, since it hits only after its path misses
+    the cleaned branch paths.  A path that comes within 4*ell of a branch
+    path is absorbed into the model by augment; a whole component's path
+    never is, since every branch path lies in a guarded component.
+    Otherwise a far pair opens a new K2, whose single terminals are their
+    own centers, and a close pair is stored as its host geodesic, centered
+    at its middle vertex (the lower id of two); in a whole component the
+    path is that geodesic already.  The new set's center keys whole in
+    known.
+    """
+    ell = fr.ell // 16
+    a1, a2 = path[0], path[-1]
     # a valid frame's model is fr.ell = (8*ell + 2*4*ell)-fat, all that
     # fat_to_clean asks of its input; its output check is also all that
     # augment needs of its input
@@ -310,7 +361,6 @@ def _round(g: Graph, fr: Frame, centers: dict[int, int],
     parts_union = clean.part_union()
     near_map = distance_map(g, parts_union, cutoff=4 * ell) if parts_union else {}
     touch_idx = next((idx for idx, v in enumerate(path) if v in near_map), None)
-
     if touch_idx is not None:
         # the path approaches a branch path: absorb it into the model
         w = path[touch_idx]
@@ -323,47 +373,35 @@ def _round(g: Graph, fr: Frame, centers: dict[int, int],
                 break
         require(target is not None,
                 "path vertex near the branch paths is near none of them")
-        model = _augment(g, clean, a1, target, trimmed, ell).model
+        return _augment(g, clean, a1, target, trimmed, ell).model
+    if close and fr.coarse:
+        # every avoiding terminal pair is close, so no ell-coarse
+        # terminal path avoids the guarded region
+        return None
+    pattern2 = clean.pattern.copy()
+    sets2 = dict(clean.branch_sets)
+    parts2 = dict(clean.branch_parts)
+    if not close:
+        # far pair, far from the model: open a new two-vertex component
+        x, h2, e = pattern2.add_k2()
+        for h, t in ((x, a1), (h2, a2)):
+            sets2[h] = frozenset({t})
+            centers[h] = t
+        parts2[e] = path
     else:
-        if close_pair and fr.coarse:
-            # every avoiding terminal pair is close, so no ell-coarse
-            # terminal path avoids the guarded region
-            return hit
-        pattern2 = clean.pattern.copy()
-        sets2 = dict(clean.branch_sets)
-        parts2 = dict(clean.branch_parts)
-        if not close_pair:
-            # far pair, far from the model: open a new two-vertex component
-            # whose branch sets are single terminals, each its own center
-            h1, h2, e = pattern2.add_k2()
-            for h, t in ((h1, a1), (h2, a2)):
-                sets2[h] = frozenset({t})
-                centers[h] = t
-            parts2[e] = path
-            if closed:
-                known[a1] = tree
-        else:
-            # close pair: store its connecting geodesic as a finished path;
-            # in a whole component, path is it
-            link = path if closed else st_path(g, {a1}, {a2})
-            require(link is not None and len(link) - 1 < ell,
-                    f"close terminal pair has no geodesic shorter than {ell}")
-            # a host geodesic has no chord, so g[link] is the path itself,
-            # where index i has eccentricity max(i, s - 1 - i): the middle
-            # one or two vertices are least, and a tie goes to the lower id
-            s = len(link)
-            x = pattern2.add_vertex()
-            sets2[x] = link
-            centers[x] = min(link[(s - 1) // 2], link[s // 2])
-            if closed:
-                known[centers[x]] = tree
-        model = FatModel(pattern2, sets2, parts2)
-
-    new_frame = Frame(model=model, i=fr.i + 1, ell=ell, r=fr.r,
-                      coarse=fr.coarse, a_set=fr.a_set)
-    bad = validate_frame(g, new_frame)
-    require(not bad, "extension produced an invalid frame: " + "; ".join(bad))
-    return new_frame
+        link = path if whole is not None else st_path(g, {a1}, {a2})
+        require(link is not None and len(link) - 1 < ell,
+                f"close terminal pair has no geodesic shorter than {ell}")
+        # a host geodesic has no chord, so g[link] is the path itself,
+        # where index i has eccentricity max(i, s - 1 - i): the middle
+        # one or two vertices are least, and a tie goes to the lower id
+        s = len(link)
+        x = pattern2.add_vertex()
+        sets2[x] = link
+        centers[x] = min(link[(s - 1) // 2], link[s // 2])
+    if whole is not None:
+        known[centers[x]] = whole
+    return FatModel(pattern2, sets2, parts2)
 
 
 def _in_every_ball(tree: Tree, radius: int) -> bool:
@@ -432,21 +470,13 @@ def solve(g: Graph, a: frozenset[int], params: SolveParams,
     terminal path.
 
     Every round checks each model it builds once, whatever the flags and
-    also under python -O: the cleaned model and the new frame.  A round
-    that ends in a hit cleans nothing, since the hit is read off branch
-    sets that cleaning keeps; only a coarse round whose pair is close
-    cleans before it hits (see _round).  A model without edges is
-    cleaned without a check, since cleaning leaves it as the last round's
-    check (or the empty start) found it.  A round skips
-    the far-pair searches that the sizes of its components decide, reads
-    its path off the one search that finds its candidate, and cuts its
-    far-pair test at ell.  A solve keeps one table of branch-set centers,
-    so only augment's sets are measured, and one of the search trees of
-    the whole components its rounds have searched: a guard takes a known
-    component whole, with no search, and a round whose guard is a union of
-    whole components reads its candidates' trees off the table, searching
-    only new ones, and gives them to the far-pair test.  The final frame
-    is unwound without a second validate_frame.
+    also under python -O: the cleaned model and the new frame.  A model
+    without edges is cleaned without a check, since cleaning leaves it as
+    the last round's check (or the empty start) found it.  The rounds
+    share one table of branch-set centers and one of the search trees of
+    whole components, for the length of the solve; _round and its phases
+    say what each round searches, and what it reads off the tables
+    instead.  The final frame is unwound without a second validate_frame.
     validate=True adds two checks: every frame's counter and scale are
     compared with the schedule, and the final certificate is verified
     independently by the oracle module.

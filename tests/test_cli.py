@@ -124,6 +124,17 @@ class TestSolve:
         assert "internal error" in err
         assert "branch-set centers collide" in err
 
+    def test_out_of_memory_exit_three(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(pathpack.cli, "solve", exhausted)
+        gp, ap = spider_files(tmp_path)
+        rc = main(["solve", "--graph", gp, "--a-set", ap, "-k", "2", "-d", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "out of memory: the input is too large for the memory available"]
+
     def test_terminal_outside_graph(self, tmp_path):
         gp, _ = write_instance(tmp_path, path_graph(10), frozenset({0}))
         ap = tmp_path / "far.aset"
@@ -231,6 +242,14 @@ class TestVerify:
         cert = tmp_path / "cert.json"
         cert.write_text("{}")
         assert main(["verify", str(cert), "--graph", gp, "--a-set", ap]) == 2
+
+    def test_rejects_paths_nested_deeper_than_the_stack(self, tmp_path, capsys):
+        gp, ap = write_instance(tmp_path, path_graph(10), frozenset({0, 9}))
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"type": "packing", "k": 1, "d": 1, "coarse": false,'
+                        ' "paths": ' + "[" * 1_100 + "]" * 1_100 + "}")
+        assert main(["verify", str(cert), "--graph", gp, "--a-set", ap]) == 2
+        assert "nests too deeply" in capsys.readouterr().err
 
 
 def readme_quickstart() -> list[list[str]]:

@@ -6,10 +6,11 @@ solve writes for them) are mutated at the byte level: truncated, bytes
 flipped, lines duplicated, a number replaced with a huge, negative or
 over-long one or with the JSON boolean equal to it (in a model file,
 one time in two, a branch-set id goes out of range), non-UTF-8 bytes
-inserted.  `solve -k 1 -d 1` and `verify` then run on the files through
-cli.main.  Every run must end in a documented exit code with no exception
-escaping, and verify may accept a certificate only when each of its vertex
-ids is a JSON integer.  The
+inserted, a certificate's "paths" or "x" value wrapped in 10^3 to 10^5
+brackets, deeper than json.loads can recurse.  `solve -k 1 -d 1` and
+`verify` then run on the files through cli.main.  Every run must end in a
+documented exit code with no exception escaping, and verify may accept a
+certificate only when each of its vertex ids is a JSON integer.  The
 single-step commands get the same treatment: `clean` and `topo` on a
 mutated graph and model pair, `tripod` on a mutated graph and q-set
 pair."""
@@ -39,6 +40,8 @@ REPLACEMENTS = (b"999999999999", b"%d" % (MAX_VERTICES + 1), b"-1", b"1" * 5000)
 # a JSON boolean equals the integer it replaces
 BOOLEANS = {b"0": b"false", b"1": b"true"}
 NOT_UTF8 = (b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe2\x28\xa1")
+# a certificate's vertex list, whose value ends at the next top-level key
+VERTEX_LIST = re.compile(rb'"(?:paths|x)": ')
 CASES = 420
 # clean, topo and tripod fail on bad input with 1, 2 or 3, never with 10
 STEP_EXIT_CODES = {0, 1, 2, 3}
@@ -85,8 +88,14 @@ def write_mutated(files: dict[str, bytes], target: str, rng: random.Random,
 
 def mutate(data: bytes, rng: random.Random) -> bytes:
     op = rng.choice(("truncate", "flip", "duplicate", "number", "number",
-                     "number", "utf8"))
+                     "number", "utf8", "nest"))
     numbers = list(NUMBER.finditer(data))
+    if op == "nest" and (key := VERTEX_LIST.search(data)):
+        end = data.find(b',\n  "', key.end())
+        end = len(data) if end < 0 else end
+        depth = rng.randrange(10 ** 3, 10 ** 5 + 1)
+        return (data[:key.end()] + b"[" * depth + data[key.end():end]
+                + b"]" * depth + data[end:])
     if op == "number" and numbers:
         ids = [t for line in BRANCH_SET.finditer(data)
                for t in NUMBER.finditer(data, line.start(1), line.end(1))]

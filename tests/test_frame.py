@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from helpers import k2_path_model, path_graph
@@ -276,17 +274,6 @@ class TestExtendOrHit:
         assert out.model.branch_sets[2] == (*range(451, 445, -1),
                                             *range(452, 457))
 
-    def test_a_partial_guard_reads_no_known_component(self):
-        # the table holds the tree of the whole host, rooted at 451, but
-        # the guard is no union of components, so 451's candidate is
-        # searched in g minus the guard
-        g, fr = self.guarded_pair_frame(20)
-        known = {451: graph._search_tree(g, 451, frozenset())}
-        out = frame._round(g, fr, {}, known).model
-        want = extend_or_hit(g, fr).model
-        assert (out.branch_sets, out.branch_parts) == (want.branch_sets,
-                                                       want.branch_parts)
-
     def test_a_round_that_hits_cleans_nothing(self, monkeypatch):
         # K2 frame on the path 0..49 at frame scale 16 with r=4: ell=1, the
         # guard is the 12-ball around the centers 0 and 49, and it holds
@@ -329,6 +316,40 @@ class TestExtendOrHit:
         assert out == frozenset()
 
 
+def logged(monkeypatch, module, name):
+    """Wrap module.name so that each call's arguments are logged."""
+    log, fn = [], getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        log.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return log
+
+
+def whole_tree(g, v):
+    return graph._search_tree(g, v, frozenset())
+
+
+class TestGuard:
+    """Two paths, A = 0..9 and B = 10..29; the center 0 keys A's tree."""
+    g = Graph(30, chain_edges(10) + chain_edges(20, 10))
+
+    def test_a_known_component_that_fits_joins_whole(self, monkeypatch):
+        known = {0: whole_tree(self.g, 0)}
+        grown = logged(monkeypatch, graph, "_grow")
+        assert frame._guard(self.g, frozenset({0}), known, 9) == (
+            set(range(10)), True)
+        assert grown == [] and list(known) == [0]
+
+    def test_a_center_whose_component_does_not_fit_loses_its_key(self):
+        known = {0: whole_tree(self.g, 0)}
+        assert frame._guard(self.g, frozenset({0, 20}), known, 3) == (
+            {0, 1, 2, 3, *range(17, 24)}, False)
+        assert known == {}
+
+
 class CountingTerminals(frozenset):
     """A terminal set that counts the times Python code iterates it."""
     iterations = 0
@@ -338,23 +359,123 @@ class CountingTerminals(frozenset):
         return super().__iter__()
 
 
-def test_round_scans_each_candidate_in_the_size_of_its_tree():
-    """A round lists a candidate's terminals in the size of its search
-    tree, without iterating the whole terminal set.  The host is 200
-    two-vertex components, each vertex a terminal, so round 0 at k = 2
-    searches 72 of them before the unsearched vertices number ell = 256;
-    a scan of every terminal per candidate would iterate the set 72
-    times.  The frame is built by replace, since empty_frame copies its
-    terminals into a plain frozenset."""
-    g = Graph(400, [(2 * i, 2 * i + 1) for i in range(200)])
-    params = SolveParams(2, 1)
-    a = CountingTerminals(range(400))
-    fr = dataclasses.replace(
-        empty_frame(frozenset(), params.frame_ell(0), params.frame_r, False),
-        a_set=a)
-    out = frame._round(g, fr, {}, {})
-    assert isinstance(out, Frame)
-    assert a.iterations <= 1
+class TestCandidates:
+    """A connected set of s vertices has no two vertices s or more apart,
+    so a candidate of at most ell vertices gets no far-pair search, and no
+    candidate is searched once at most ell unsearched vertices are left.
+    Here the guard is empty, and so closed, and ell = 16."""
+
+    def test_a_candidate_of_ell_vertices_gets_no_far_pair_search(
+            self, monkeypatch):
+        tests = logged(monkeypatch, frame, "_least_far_pair")
+        g = path_graph(16)
+        path, tree, close = frame._candidates(g, frozenset({0, 15}), set(),
+                                              True, {}, 16)
+        assert (path, close, tests) == (tuple(range(16)), True, [])
+        assert tree == whole_tree(g, 0)
+
+    def test_a_candidate_of_ell_plus_one_vertices_gets_one(self, monkeypatch):
+        tests = logged(monkeypatch, frame, "_least_far_pair")
+        known = {}
+        path, tree, close = frame._candidates(path_graph(17), frozenset({0, 16}),
+                                              set(), True, known, 16)
+        assert (path, close, len(tests)) == (tuple(range(17)), False, 1)
+        assert known == {0: tree}
+
+    def test_no_search_once_ell_vertices_are_left(self, monkeypatch):
+        # the 3-vertex first candidate leaves exactly ell vertices
+        searched = logged(monkeypatch, frame, "_search_tree")
+        g = Graph(19, chain_edges(3) + chain_edges(16, 3))
+        path, _, close = frame._candidates(g, frozenset({0, 2, 3, 18}), set(),
+                                           True, {}, 16)
+        assert (path, close) == ((0, 1, 2), True)
+        assert [args[1] for args in searched] == [0]
+
+    def test_no_candidate_with_two_terminals_gives_none(self):
+        g = Graph(30, chain_edges(10) + chain_edges(20, 10))
+        assert frame._candidates(g, frozenset({0, 10}), set(), True, {},
+                                 1) is None
+
+    def test_a_partial_guard_reads_no_known_component(self):
+        # the table holds the tree of the whole host, rooted at 451, but
+        # the guard is no union of components, so 451's candidate is
+        # searched in g minus the guard
+        g, fr = TestExtendOrHit.guarded_pair_frame(20)
+        guard, closed = frame._guard(g, frozenset({0, 256}), {}, 192)
+        known = {451: whole_tree(g, 451)}
+        assert not closed
+        assert (frame._candidates(g, fr.a_set, guard, closed, known, 16)
+                == frame._candidates(g, fr.a_set, guard, closed, {}, 16))
+        assert list(known) == [451]
+
+    def test_candidates_are_scanned_in_the_size_of_their_trees(self):
+        """A candidate's terminals are listed in the size of its search
+        tree, without iterating the whole terminal set.  The host is 200
+        two-vertex components, each vertex a terminal, so at ell = 256
+        the phase searches 72 of them before the unsearched vertices
+        number ell; a scan of every terminal per candidate would iterate
+        the set 72 times."""
+        g = Graph(400, [(2 * i, 2 * i + 1) for i in range(200)])
+        a = CountingTerminals(range(400))
+        assert frame._candidates(g, a, set(), True, {}, 256)[2]
+        assert a.iterations <= 1
+
+
+class TestPlace:
+    """Each branch of the placement phase, on an empty frame at scale 256
+    (ell = 16) or on a K2 frame at scale 16 (ell = 1)."""
+
+    def place(self, g, fr, path, whole, close):
+        centers, known = {}, {}
+        model = frame._place(g, fr, path, whole, close, centers, known)
+        return model, centers, known
+
+    def test_a_far_pair_opens_a_k2_whose_first_terminal_keys_the_tree(self):
+        g = path_graph(17)
+        fr = empty_frame(frozenset({0, 16}), 256, 64, False)
+        tree = whole_tree(g, 0)
+        model, centers, known = self.place(g, fr, tuple(range(17)), tree, False)
+        assert model.branch_sets == {0: frozenset({0}), 1: frozenset({16})}
+        assert model.branch_parts == {0: tuple(range(17))}
+        assert (centers, known) == ({0: 0, 1: 16}, {0: tree})
+
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_a_close_pair_is_stored_with_its_middle_as_center(self, whole):
+        # in a whole component the path is the geodesic, and its center
+        # keys the tree; otherwise st_path finds the geodesic
+        g = path_graph(16)
+        fr = empty_frame(frozenset({0, 15}), 256, 64, False)
+        tree = whole_tree(g, 0) if whole else None
+        model, centers, known = self.place(g, fr, tuple(range(16)), tree, True)
+        assert model.branch_sets == {0: tuple(range(16))}
+        assert model.branch_parts == {}
+        assert centers == {0: 7}
+        assert known == ({7: tree} if whole else {})
+
+    def test_a_coarse_close_pair_far_from_the_branch_paths_hits(self):
+        g = path_graph(16)
+        fr = empty_frame(frozenset({0, 15}), 256, 64, True)
+        assert self.place(g, fr, tuple(range(16)), whole_tree(g, 0),
+                          True) == (None, {}, {})
+
+    def test_a_path_near_a_branch_path_is_absorbed(self):
+        # K2 on the path 0..30 at scale 16 (ell = 1); a spike 31..40 hangs
+        # off 15, and the pair 40, 31 is far: its path comes within 4 of
+        # the branch path at 34 and is absorbed, subdividing the edge at a
+        # new vertex 2 that hangs 40 on the pendant 3
+        g = Graph(41, chain_edges(31) + [(15, 31)] + chain_edges(10, 31))
+        pat = PatternGraph.from_parts([0, 1], {0: (0, 1)})
+        m = FatModel(pat, {0: frozenset({0}), 1: frozenset({30})},
+                     {0: tuple(range(31))})
+        fr = Frame(m, 1, 16, 4, False, frozenset({0, 30, 31, 40}))
+        assert validate_frame(g, fr) == []
+        model, centers, known = self.place(g, fr, tuple(range(40, 30, -1)),
+                                           None, False)
+        assert [model.pattern.endpoints(e) for e in model.pattern.edge_ids()
+                ] == [(0, 2), (2, 1), (2, 3)]
+        assert model.branch_sets[3] == frozenset({40})
+        assert (centers, known) == ({}, {})
+        assert validate_frame(g, Frame(model, 2, 1, 4, False, fr.a_set)) == []
 
 
 def counted_rounds(monkeypatch, name, module=frame):

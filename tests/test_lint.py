@@ -313,17 +313,25 @@ def checked_step_calls(source: str, functions: set[str]) -> list[str]:
     return out
 
 
+# solve, its round, and the round's phases
+SOLVER_PATH = {"solve", "_round", "_centers", "_guard", "_candidates", "_place"}
+
+
 def test_solver_path_calls_no_checked_step():
     source = (SRC / "frame.py").read_text()
-    assert checked_step_calls(source, {"solve", "_round"}) == []
+    defined = {top.name for top in ast.parse(source).body
+               if isinstance(top, ast.FunctionDef)}
+    assert SOLVER_PATH <= defined
+    assert checked_step_calls(source, SOLVER_PATH) == []
 
 
 def test_checked_step_detector_sees_plain_and_module_calls():
     source = ("def solve(g):\n    return fat_to_clean(g)\n"
               "def _round(g):\n    model.augment(g)\n    _augment(g)\n"
+              "def _place(g):\n    frame_to_packing(g)\n"
               "def other(g):\n    is_clean(g)\n")
-    assert checked_step_calls(source, {"solve", "_round"}) == [
-        "line 2: fat_to_clean", "line 4: augment"]
+    assert checked_step_calls(source, SOLVER_PATH) == [
+        "line 2: fat_to_clean", "line 4: augment", "line 7: frame_to_packing"]
 
 
 def fatness_calls(source: str) -> list[str]:
