@@ -216,10 +216,9 @@ def graph_imports(source: str) -> set[str]:
     return out
 
 
-# what the verifiers share with the solver's searches; the oracle's own
-# kernel (ROADMAP item 3) is to shrink this to Graph alone
-ORACLE_GRAPH_IMPORTS = {"Graph", "UNREACHABLE", "ball", "components", "dist",
-                        "distance_map", "is_path"}
+# the verifiers search with their own kernels and share no search with
+# the solver: they take only the Graph type from graph.py
+ORACLE_GRAPH_IMPORTS = {"Graph"}
 
 
 def test_oracle_imports_only_the_pinned_graph_names():

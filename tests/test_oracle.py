@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import cycle_graph, path_graph
-from pathpack import Graph, PreconditionError
+from pathpack import Graph, InputError, PreconditionError, oracle
 from pathpack.oracle import (
     brute_force_packing_exists,
     far_pair,
@@ -134,6 +134,155 @@ class TestHittingViolations:
         g = path_graph(10)
         out = hitting_violations(g, frozenset({0, 9}), frozenset({5}), -1, 4)
         assert any("negative" in v for v in out)
+
+
+class TestHittingSearch:
+    """hitting_violations searches only the components that hold a
+    terminal, and tests a far pair only where its size and its depth from
+    the least terminal allow one."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """The components the check searches and the far_pair calls it
+        makes, as lists of the vertices each call saw."""
+        seen = {"comps": [], "far": []}
+        mark, fp = oracle._mark, oracle.far_pair
+
+        def _mark(adj, marks, seeds, levels):
+            out = mark(adj, marks, seeds, levels)
+            # a component search runs to n levels, the balls' here fewer
+            if levels >= len(marks):
+                seen["comps"].append(out[0])
+            return out
+
+        def far_pair(g, averts, threshold):
+            seen["far"].append(sorted(averts))
+            return fp(g, averts, threshold)
+
+        monkeypatch.setattr(oracle, "_mark", _mark)
+        monkeypatch.setattr(oracle, "far_pair", far_pair)
+        return seen
+
+    @pytest.mark.parametrize("threshold, want", [
+        (8, ["unhit coarse terminal path between 0 and 9"]),
+        (9, ["unhit coarse terminal path between 0 and 9"]),
+        (10, [])])
+    def test_size_rule_boundary(self, monkeypatch, threshold, want):
+        """A 10-vertex component is 9 across: threshold 9 still needs the
+        far-pair test, and threshold 10 is decided by its size alone."""
+        seen = self.record(monkeypatch)
+        g = path_graph(10)
+        assert hitting_violations(g, frozenset({0, 9}), frozenset(), 0, 3,
+                                  threshold) == want
+        assert seen["far"] == ([] if threshold == 10 else [[0, 9]])
+
+    def test_only_terminal_components_are_searched(self, monkeypatch):
+        """Paths of 3, 6, 9 and 12 vertices, each with terminals at both
+        ends except the 9-vertex one, plus terminal-free paths between
+        them: three searches, and far_pair only where s - 1 >= 5."""
+        seen = self.record(monkeypatch)
+        sizes = [3, 4, 6, 2, 9, 5, 12]
+        edges, a, base = [], set(), 0
+        for idx, s in enumerate(sizes):
+            edges += [(base + i, base + i + 1) for i in range(s - 1)]
+            if idx in (0, 2, 6):
+                a |= {base, base + s - 1}
+            base += s
+        g = Graph(base, edges)
+        out = hitting_violations(g, frozenset(a), frozenset(), 0, 3, 5)
+        assert out == ["unhit coarse terminal path between 7 and 12",
+                       "unhit coarse terminal path between 29 and 40"]
+        assert [len(c) for c in seen["comps"]] == [3, 6, 12]
+        assert all(a.intersection(c) for c in seen["comps"])
+        assert seen["far"] == [[7, 12], [29, 40]]
+
+    @pytest.mark.parametrize("threshold, want", [
+        (4, ["unhit coarse terminal path between 2 and 4"]), (5, [])])
+    def test_eccentricity_rule_boundary(self, threshold, want):
+        """The path 2-1-0-3-4 searched from terminal 0 is 2 levels deep, so
+        it is at most 4 across, and terminals 2 and 4 are exactly 4 apart."""
+        g = Graph(5, [(2, 1), (1, 0), (0, 3), (3, 4)])
+        assert hitting_violations(g, frozenset({0, 2, 4}), frozenset(), 0, 3,
+                                  threshold) == want
+
+    def test_shallow_component_gets_no_far_pair_test(self, monkeypatch):
+        """A star of 21 vertices searched from its center is 1 level deep:
+        at most 2 across, though its size allows 20."""
+        seen = self.record(monkeypatch)
+        g = Graph(21, [(0, v) for v in range(1, 21)])
+        a = frozenset(range(21))
+        assert hitting_violations(g, a, frozenset(), 0, 3, 3) == []
+        assert hitting_violations(g, a, frozenset(), 0, 3, 2) == [
+            "unhit coarse terminal path between 1 and 2"]
+        assert seen["far"] == [list(range(21))]
+
+    def test_plain_mode_searches_each_component_once(self, monkeypatch):
+        seen = self.record(monkeypatch)
+        g = path_graph(20)
+        a = frozenset({0, 3, 4, 12, 15, 19})
+        out = hitting_violations(g, a, frozenset({8}), 2, 3)
+        assert out == ["unhit terminal path between 0 and 3",
+                       "unhit terminal path between 12 and 15"]
+        assert [c[0] for c in seen["comps"]] == [0, 12]
+        assert seen["far"] == []
+
+    def test_witnesses_come_by_least_vertex_of_their_component(self):
+        """Component {0, 7, 8, 9} has least vertex 0 but least terminal 7,
+        so the search from terminal 2 meets {1, 2, 3} first; the list
+        follows the components' least vertices."""
+        g = Graph(10, [(0, 9), (9, 8), (8, 7), (1, 2), (2, 3)])
+        a = frozenset({2, 3, 7, 9})
+        assert hitting_violations(g, a, frozenset(), 0, 3) == [
+            "unhit terminal path between 7 and 9",
+            "unhit terminal path between 2 and 3"]
+
+
+class TestForeignIds:
+    """Ids that are not vertices never reach the oracle's kernels, where a
+    negative id would index the marks from the end."""
+
+    @pytest.mark.parametrize("foreign", [-1, 10, "x"])
+    def test_foreign_terminals_are_ignored(self, foreign):
+        g = path_graph(10)
+        a = frozenset({foreign, 0, 9})
+        assert hitting_violations(g, a, frozenset(), 0, 3, 9) == [
+            "unhit coarse terminal path between 0 and 9"]
+        assert hitting_violations(g, a, frozenset(), 0, 3) == [
+            "unhit terminal path between 0 and 9"]
+        assert hitting_violations(g, a, frozenset({5}), 0, 3) == []
+
+    def test_kernels_see_only_vertices(self, monkeypatch):
+        g = path_graph(10)
+        handed = []
+
+        def screened(kernel, at):
+            def wrapper(*args):
+                ids = list(args[at])
+                handed.extend(ids)
+                assert all(type(v) is int and 0 <= v < g.n for v in ids), ids
+                return kernel(*args)
+            return wrapper
+
+        # _mark(adj, marks, seeds, levels) and _depths(adj, src, cutoff)
+        monkeypatch.setattr(oracle, "_mark", screened(oracle._mark, 2))
+        monkeypatch.setattr(oracle, "_depths", screened(oracle._depths, 1))
+        foreign = [-1, 10, "x", True, 2.0]
+        a = frozenset(foreign) | {0, 9}
+        for thr in (None, 1, 9):
+            hitting_violations(g, a, frozenset({4}), 1, 3, thr)
+            hitting_violations(g, a, frozenset(), 0, 3, thr)
+            for v in foreign:
+                assert hitting_violations(g, a, frozenset({v}), 1, 3, thr)
+        for v in foreign:
+            assert packing_violations(g, a, [(0, 1), (8, v)], 2, 2, True)
+            with pytest.raises(InputError):
+                far_pair(g, [0, v], 1)
+            with pytest.raises(InputError):
+                brute_force_packing_exists(g, frozenset({0, v}), 1, 1)
+        assert packing_violations(g, a, [(0, 1, 2), (7, 8, 9)], 2, 9, True)
+        assert brute_force_packing_exists(g, frozenset({0, 9}), 1, 9, True)
+        # the ball's seed, a component's and a coarse endpoint's
+        assert {4, 0, 7} <= set(handed)
 
 
 class TestBruteForce:
